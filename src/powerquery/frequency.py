@@ -18,8 +18,9 @@ import numpy as np
 from .discretization import EigenSystem
 from .errors import (ConditioningError, NumericalError, SimulationLimitError,
                      ValidationError)
-from .quantum import (AlgorithmSchedule, RegisterLayout, StateVector,
-                      UnitarySpec, _walsh_hadamard_rows, apply_unitary)
+from .quantum import (TARGET_EIGENBASIS, AlgorithmSchedule, RegisterLayout,
+                      StateVector, apply_unitary_array, control_rows,
+                      squared_norm)
 
 DEFAULT_ENTRY_LIMIT = 2 ** 22
 PRUNE_TOL = 1e-15
@@ -124,57 +125,22 @@ class TrigCoefficients:
                 out[(int(k), int(s0) + 1, int(m))] = complex(self.table[mi, k, s0])
         return out
 
-    def squared_norm(self) -> float:
-        return float(np.sum(np.abs(self.table) ** 2))
-
     def joint_table(self) -> np.ndarray:
         """Coefficients reshaped to (joint outcome, m index)."""
         return self.table.transpose(1, 2, 0).reshape(self.outcome_count, len(self.m_values))
 
 
-def _apply_unitary_to_table(table: np.ndarray, spec: UnitarySpec,
-                            eig: EigenSystem) -> np.ndarray:
-    """Apply a fixed unitary to every frequency slice of the coefficient table."""
-    m_count, control_dim, target_dim = table.shape
-    if spec.kind == UnitarySpec.IDENTITY:
-        return table
-    if spec.kind == UnitarySpec.HADAMARD_LAYER:
-        moved = np.moveaxis(table, 1, 0).reshape(control_dim, m_count * target_dim)
-        out = _walsh_hadamard_rows(moved)
-        return np.moveaxis(out.reshape(control_dim, m_count, target_dim), 0, 1)
-    if spec.kind == UnitarySpec.INVERSE_QFT:
-        return np.fft.fft(table, axis=1) / np.sqrt(control_dim)
-    if spec.kind == UnitarySpec.CONTROL_DENSE:
-        if spec.matrix.shape[0] != control_dim:
-            raise ValidationError(
-                f"control matrix of dimension {spec.matrix.shape[0]} does not match "
-                f"register dimension {control_dim}"
-            )
-        return np.einsum("ab,mbn->man", spec.matrix, table)
-    if spec.kind == UnitarySpec.FULL_DENSE:
-        dim = control_dim * target_dim
-        if spec.matrix.shape[0] != dim:
-            raise ValidationError(
-                f"full-space matrix of dimension {spec.matrix.shape[0]} does not match "
-                f"state dimension {dim}"
-            )
-        std = table @ eig.eigenvectors.T
-        flat = std.reshape(m_count, dim) @ spec.matrix.T
-        return flat.reshape(m_count, control_dim, target_dim) @ eig.eigenvectors
-    raise ValidationError(f"unknown unitary kind {spec.kind!r}")
-
-
 def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
-                 entry_limit: int = DEFAULT_ENTRY_LIMIT,
-                 prune_tol: float = PRUNE_TOL) -> TrigCoefficients:
+                 entry_limit: int = DEFAULT_ENTRY_LIMIT) -> TrigCoefficients:
     """Propagate the frequency expansion through the whole schedule.
 
     A power query moves the coefficients of control rows with the queried bit
     set up by its power while multiplying in the eigenvector's unit phase
-    factor; fixed unitaries mix coefficients within each frequency slice.
-    Entries below ``prune_tol`` in magnitude are zeroed after each unitary.
-    The squared-coefficient sum must stay at 1 throughout; any drift beyond
-    1e-12 raises.
+    factor; fixed unitaries mix coefficients within each frequency slice,
+    through the same kernel as the state-vector simulator.  Entries below
+    ``PRUNE_TOL`` in magnitude are zeroed after each unitary.  The
+    squared-coefficient sum must stay at 1 throughout; any drift beyond 1e-12
+    raises.
     """
     if eig.constant_q is None or eig.phase_factors is None:
         raise ValidationError(
@@ -186,42 +152,36 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
             f"eigensystem dimension {eig.n} does not match schedule target dimension "
             f"{layout.target_dim}"
         )
-    kinetic = eig.kinetic_eigenvalues
-
-    start = apply_unitary(schedule.initial_state, schedule.initial_unitary, eig)
-    if start.basis != "target-eigenbasis":
+    if schedule.initial_state.basis != TARGET_EIGENBASIS:
         raise ValidationError("symbolic propagation requires an eigenbasis initial state")
-    m_values = [0]
-    table = start.amplitudes[None, :, :].astype(complex)
-    history = [float(np.sum(np.abs(table) ** 2))]
 
-    control = np.arange(layout.control_dim)
+    m_values = np.zeros(1, dtype=np.int64)
+    table = apply_unitary_array(schedule.initial_state.amplitudes[None].astype(complex),
+                                schedule.initial_unitary, TARGET_EIGENBASIS, eig)
+    history = [squared_norm(table)]
+
     for step_index, step in enumerate(schedule.steps, start=1):
-        p = step.power
-        new_values = sorted(set(m_values) | {m + p for m in m_values})
-        if len(new_values) * layout.control_dim * layout.target_dim > entry_limit:
+        p, bit = step.power, step.control_bit
+        new_values = np.union1d(m_values, m_values + p)
+        entries = new_values.size * layout.control_dim * layout.target_dim
+        if entries > entry_limit:
             raise SimulationLimitError(
-                f"step {step_index}: coefficient table of "
-                f"{len(new_values) * layout.control_dim * layout.target_dim} entries "
+                f"step {step_index}: coefficient table of {entries} entries "
                 f"exceeds the limit of {entry_limit}"
             )
-        position = {m: i for i, m in enumerate(new_values)}
-        hold = layout.bit_value(control, step.control_bit) == 0
-        shift = ~hold
-        phase = np.exp(0.5j * p * kinetic)
-        new_table = np.zeros((len(new_values), layout.control_dim, layout.target_dim),
-                             dtype=complex)
-        for mi, m in enumerate(m_values):
-            new_table[position[m]][hold] += table[mi][hold]
-            new_table[position[m + p]][shift] += table[mi][shift] * phase[None, :]
-        m_values = new_values
-        table = new_table
-        history.append(float(np.sum(np.abs(table) ** 2)))
+        shifted = np.zeros((new_values.size, layout.control_dim, layout.target_dim),
+                           dtype=complex)
+        hold = np.searchsorted(new_values, m_values)
+        move = np.searchsorted(new_values, m_values + p)
+        control_rows(shifted, bit, 0)[hold] = control_rows(table, bit, 0)
+        control_rows(shifted, bit, 1)[move] = (control_rows(table, bit, 1)
+                                               * np.exp(0.5j * p * eig.kinetic_eigenvalues))
+        m_values, table = new_values, shifted
+        history.append(squared_norm(table))
 
-        table = _apply_unitary_to_table(table, step.unitary, eig)
-        if prune_tol > 0:
-            table[np.abs(table) < prune_tol] = 0
-        history.append(float(np.sum(np.abs(table) ** 2)))
+        table = apply_unitary_array(table, step.unitary, TARGET_EIGENBASIS, eig)
+        table[np.abs(table) < PRUNE_TOL] = 0
+        history.append(squared_norm(table))
 
     for step_number, value in enumerate(history):
         if abs(value - 1.0) > NORM_DRIFT_TOL:
@@ -231,7 +191,7 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
             )
     return TrigCoefficients(
         powers=schedule.powers,
-        m_values=tuple(m_values),
+        m_values=tuple(m_values.tolist()),
         table=table,
         norm_history=tuple(history),
     )

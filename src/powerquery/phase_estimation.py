@@ -22,7 +22,6 @@ from .quantum import (AlgorithmSchedule, MeasurementDistribution, QueryStep,
 
 FOUR_PI = 4.0 * math.pi
 SUCCESS_THRESHOLD = 0.75
-EPSILON_BISECTION_TOL = 1e-12
 
 MODE_EXACT = "exact-ground"
 MODE_PERTURBED = "perturbed"
@@ -55,7 +54,10 @@ class OutcomeDecoder:
         return decode_eigenvalue(decode_phase(outcome, self.queries))
 
     def decode_all(self) -> np.ndarray:
-        return np.array([self.decode(k) for k in range(1 << self.queries)])
+        size = 1 << self.queries
+        if self.lambda_map is None:
+            return FOUR_PI * (np.arange(size) / size)
+        return np.array([self.decode(k) for k in range(size)])
 
 
 @dataclass(frozen=True)
@@ -184,21 +186,17 @@ def default_q_grid(count: int = 64) -> list[float]:
 
 def _smallest_success_epsilon(distances: np.ndarray, probabilities: np.ndarray,
                               threshold: float) -> float:
-    """Smallest eps with mass(distances <= eps) >= threshold, by bisection."""
-    def success(eps):
-        return probabilities[distances <= eps].sum()
+    """Smallest eps with mass(distances <= eps) >= threshold.
 
-    lo = 0.0
-    if success(lo) >= threshold:
+    That is the first distance, in sorted order, at which the cumulative mass
+    reaches the threshold; the last distance if rounding keeps the total below.
+    """
+    if probabilities[distances <= 0.0].sum() >= threshold:
         return 0.0
-    hi = float(distances.max()) + EPSILON_BISECTION_TOL
-    while hi - lo > EPSILON_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if success(mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    order = np.argsort(distances)
+    mass = np.cumsum(probabilities[order])
+    index = min(int(np.searchsorted(mass, threshold)), mass.size - 1)
+    return float(distances[order[index]])
 
 
 @dataclass(frozen=True)

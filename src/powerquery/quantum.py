@@ -12,6 +12,7 @@ estimation circuit and making the binary-fraction decoding a direct bit read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import SimulationLimitError, ValidationError
 DEFAULT_AMPLITUDE_LIMIT = 2 ** 24
 FULL_UNITARY_LIMIT = 4096
 NORM_TOL = 1e-12
+NORM_PIECE = 8192  # float64 values squared and summed at a time: 64 KiB
 UNITARY_TOL = 1e-10
 
 TARGET_EIGENBASIS = "target-eigenbasis"
@@ -51,13 +53,17 @@ class RegisterLayout:
     def control_dim(self) -> int:
         return 1 << self.control_qubits
 
-    def bit_value(self, k, bit: int):
-        """Value of control bit `bit` (1 = most significant) in control index k."""
-        if not 1 <= bit <= self.control_qubits:
-            raise ValidationError(
-                f"control bit {bit} outside register of {self.control_qubits} qubits"
-            )
-        return (k >> (self.control_qubits - bit)) & 1
+
+def squared_norm(amplitudes: np.ndarray) -> float:
+    """Sum of squared magnitudes, with rounding that grows only as log(size).
+
+    Each 64 KiB piece is summed pairwise and so are the piece totals; a
+    sequential BLAS norm drifts by ~1e-12 already at 2^20 amplitudes.  Working
+    piecewise keeps the temporary small instead of state-sized.
+    """
+    values = np.ascontiguousarray(amplitudes, dtype=complex).reshape(-1).view(np.float64)
+    return float(np.sum([np.square(values[i:i + NORM_PIECE]).sum()
+                         for i in range(0, values.size, NORM_PIECE)]))
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ class StateVector:
             )
         if self.basis not in (TARGET_EIGENBASIS, TARGET_STANDARD):
             raise ValidationError(f"unknown basis tag {self.basis!r}")
-        norm = float(np.linalg.norm(self.amplitudes))
+        norm = math.sqrt(squared_norm(self.amplitudes))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:g}")
 
@@ -217,6 +223,20 @@ class AlgorithmSchedule:
 # Operations
 # --------------------------------------------------------------------------
 
+def control_rows(amplitudes: np.ndarray, control_bit: int, value: int) -> np.ndarray:
+    """View of the rows of an (..., 2^c, n) array whose control bit equals `value`.
+
+    The view has shape (..., 2^(bit-1), 2^(c-bit), n), in row order.  Writing
+    to it writes to `amplitudes`, which must be C-contiguous for that.
+    """
+    *lead, rows, cols = amplitudes.shape
+    c = rows.bit_length() - 1
+    if not 1 <= control_bit <= c:
+        raise ValidationError(f"control bit {control_bit} outside register of {c} qubits")
+    split = amplitudes.reshape(*lead, 1 << (control_bit - 1), 2, 1 << (c - control_bit), cols)
+    return split[..., value, :, :]
+
+
 def apply_power_query(state: StateVector, control_bit: int, power: int,
                       eig: EigenSystem) -> StateVector:
     """Multiply amplitudes with control bit set by exp(i * power * eigenvalue_s / 2)."""
@@ -232,34 +252,32 @@ def apply_power_query(state: StateVector, control_bit: int, power: int,
         raise ValidationError(
             f"eigensystem dimension {eig.n} does not match target dimension {layout.target_dim}"
         )
-    k = np.arange(layout.control_dim)
-    rows = layout.bit_value(k, control_bit) == 1
-    phases = np.exp(0.5j * power * eig.eigenvalues)
     amp = state.amplitudes.copy()
-    amp[rows, :] *= phases[None, :]
+    rows = control_rows(amp, control_bit, 1)
+    rows *= np.exp(0.5j * power * eig.eigenvalues)
     return state._replace_amplitudes(amp)
 
 
-def _walsh_hadamard_rows(mat: np.ndarray) -> np.ndarray:
-    """Normalized fast Walsh-Hadamard transform of the row index of a 2-D array."""
-    rows, cols = mat.shape
-    out = mat.copy()
-    block = 1
-    while block < rows:
-        view = out.reshape(rows // (2 * block), 2, block, cols)
-        top = view[:, 0] + view[:, 1]
-        bottom = view[:, 0] - view[:, 1]
-        view[:, 0] = top
-        view[:, 1] = bottom
-        block *= 2
+def _walsh_hadamard_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Normalized fast Walsh-Hadamard transform of the rows of an (..., 2^c, n) array."""
+    rows = amplitudes.shape[-2]
+    out = amplitudes.copy()
+    for bit in range(rows.bit_length() - 1, 0, -1):
+        zero, one = control_rows(out, bit, 0), control_rows(out, bit, 1)
+        zero[...], one[...] = zero + one, zero - one
     out *= 1.0 / np.sqrt(rows)
     return out
 
 
+def _inverse_qft_rows(amplitudes: np.ndarray, first_bit: int, last_bit: int) -> np.ndarray:
+    """Inverse Fourier transform of the control bits first_bit..last_bit of (..., 2^c, n)."""
+    size = 1 << (last_bit - first_bit + 1)
+    split = amplitudes.reshape(*amplitudes.shape[:-2], 1 << (first_bit - 1), size, -1)
+    return (np.fft.fft(split, axis=-2) / np.sqrt(size)).reshape(amplitudes.shape)
+
+
 def apply_hadamard_layer(state: StateVector) -> StateVector:
-    if state.layout.control_qubits == 0:
-        return state
-    return state._replace_amplitudes(_walsh_hadamard_rows(state.amplitudes))
+    return apply_unitary(state, UnitarySpec.hadamard_layer())
 
 
 def apply_inverse_qft(state: StateVector, first_bit: int = 1,
@@ -274,62 +292,57 @@ def apply_inverse_qft(state: StateVector, first_bit: int = 1,
         last_bit = c
     if not (1 <= first_bit <= last_bit <= c):
         raise ValidationError(f"bit range {first_bit}..{last_bit} outside register of {c} qubits")
-    span = last_bit - first_bit + 1
-    size = 1 << span
-    high = 1 << (first_bit - 1)
-    amp = state.amplitudes.reshape(high, size, -1)
-    out = np.fft.fft(amp, axis=1) / np.sqrt(size)
-    return state._replace_amplitudes(out.reshape(state.amplitudes.shape))
+    return state._replace_amplitudes(_inverse_qft_rows(state.amplitudes, first_bit, last_bit))
 
 
-def _eigen_to_standard(amp: np.ndarray, eig: EigenSystem) -> np.ndarray:
-    return amp @ eig.eigenvectors.T
+def apply_unitary_array(amplitudes: np.ndarray, spec: UnitarySpec, basis: str,
+                        eig: EigenSystem | None) -> np.ndarray:
+    """Apply a fixed unitary to amplitudes of shape (..., 2^c, n).
 
-
-def _standard_to_eigen(amp: np.ndarray, eig: EigenSystem) -> np.ndarray:
-    return amp @ eig.eigenvectors
-
-
-def apply_unitary(state: StateVector, spec: UnitarySpec,
-                  eig: EigenSystem | None = None) -> StateVector:
-    """Apply a fixed unitary: named gate, control matrix (x) identity, or full matrix.
-
-    Full-space matrices act in the standard basis; an eigensystem is required
-    to conjugate them when the state is stored in the eigenbasis.
+    Leading axes hold independent copies of the register, such as the
+    frequency slices of a symbolic coefficient table.  The identity returns
+    `amplitudes` itself; every other kind returns a new array.  Full-space
+    matrices act in the standard basis; an eigensystem is required to
+    conjugate them when the target axis is in the eigenbasis.
     """
+    *lead, rows, cols = amplitudes.shape
     if spec.kind == UnitarySpec.IDENTITY:
-        return state
+        return amplitudes
     if spec.kind == UnitarySpec.HADAMARD_LAYER:
-        return apply_hadamard_layer(state)
+        return _walsh_hadamard_rows(amplitudes)
     if spec.kind == UnitarySpec.INVERSE_QFT:
-        return apply_inverse_qft(state)
+        return _inverse_qft_rows(amplitudes, 1, rows.bit_length() - 1)
     if spec.kind == UnitarySpec.CONTROL_DENSE:
-        if spec.matrix.shape[0] != state.layout.control_dim:
+        if spec.matrix.shape[0] != rows:
             raise ValidationError(
                 f"control matrix of dimension {spec.matrix.shape[0]} does not match "
-                f"register dimension {state.layout.control_dim}"
+                f"register dimension {rows}"
             )
-        return state._replace_amplitudes(spec.matrix @ state.amplitudes)
+        return spec.matrix @ amplitudes
     if spec.kind == UnitarySpec.FULL_DENSE:
-        dim = state.layout.control_dim * state.layout.target_dim
+        dim = rows * cols
         if spec.matrix.shape[0] != dim:
             raise ValidationError(
                 f"full-space matrix of dimension {spec.matrix.shape[0]} does not match "
                 f"state dimension {dim}"
             )
-        amp = state.amplitudes
-        if state.basis == TARGET_EIGENBASIS:
+        eigenbasis = basis == TARGET_EIGENBASIS
+        if eigenbasis:
             if eig is None:
                 raise ValidationError(
                     "full-space unitaries on eigenbasis states need the eigensystem"
                 )
-            amp = _eigen_to_standard(amp, eig)
-        flat = spec.matrix @ amp.reshape(dim)
-        amp = flat.reshape(state.amplitudes.shape)
-        if state.basis == TARGET_EIGENBASIS:
-            amp = _standard_to_eigen(amp, eig)
-        return state._replace_amplitudes(amp)
+            amplitudes = amplitudes @ eig.eigenvectors.T
+        out = (amplitudes.reshape(*lead, dim) @ spec.matrix.T).reshape(amplitudes.shape)
+        return out @ eig.eigenvectors if eigenbasis else out
     raise ValidationError(f"unknown unitary kind {spec.kind!r}")
+
+
+def apply_unitary(state: StateVector, spec: UnitarySpec,
+                  eig: EigenSystem | None = None) -> StateVector:
+    """Apply a fixed unitary: named gate, control matrix (x) identity, or full matrix."""
+    amp = apply_unitary_array(state.amplitudes, spec, state.basis, eig)
+    return state if amp is state.amplitudes else state._replace_amplitudes(amp)
 
 
 def run_schedule(schedule: AlgorithmSchedule, eig: EigenSystem) -> StateVector:
@@ -394,7 +407,7 @@ def measurement_distribution(state: StateVector, scope: str = CONTROL_ONLY,
         if state.basis == TARGET_EIGENBASIS:
             if eig is None:
                 raise ValidationError("joint standard-basis measurement needs the eigensystem")
-            amp = _eigen_to_standard(amp, eig)
+            amp = amp @ eig.eigenvectors.T
         probs = (np.abs(amp) ** 2).reshape(-1)
         labels = np.arange(probs.size)
     else:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,21 @@ class TestPhaseEstimate:
                                "--T", "4", "--epsilon", "0.5", "--mode", "perturbed:0.95")
         assert code == 0
         assert json.loads(out)["config"]["mode"] == "perturbed:0.95"
+
+    def test_perturbed_norm_check_at_2_20_amplitudes(self):
+        # every control row is an exact copy of the target after the Hadamard
+        # layer; a sequential single-threaded BLAS norm misread this state by
+        # 1.2e-12 and rejected it
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerquery.cli", "phase-estimate",
+             "--q", "poly:0.1,0.2,0.05", "--n", "128", "--T", "13", "--epsilon", "0.01",
+             "--mode", "perturbed:0.95"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["success_probability"] >= 0.75
 
     def test_bad_mode(self, capsys):
         code, _, err = run_cli(capsys, "phase-estimate", "--q", "const:0.5", "--n", "8",

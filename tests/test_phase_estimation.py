@@ -5,6 +5,7 @@ import pytest
 
 from powerquery import (
     EigenSystem,
+    OutcomeDecoder,
     PEConfig,
     PotentialSpec,
     UnitarySpec,
@@ -91,6 +92,13 @@ class TestDecoding:
         assert decode_eigenvalue(0.0) == 0.0
         assert decode_eigenvalue(0.5) == pytest.approx(2 * math.pi, abs=1e-12)
         assert decode_eigenvalue(math.pi / 4) == pytest.approx(math.pi ** 2, abs=1e-12)
+
+    def test_decode_all_matches_per_outcome_decoding(self):
+        for queries in (1, 4, 11):
+            decoder = OutcomeDecoder(queries=queries)
+            loop = np.array([decode_eigenvalue(decode_phase(k, queries))
+                             for k in range(1 << queries)])
+            assert np.array_equal(decoder.decode_all(), loop)
 
     def test_range_checks(self):
         with pytest.raises(ValidationError):
@@ -185,19 +193,22 @@ class TestWorstCaseError:
         assert report.epsilon_achieved == 0.0
 
     def test_bisection_matches_sorting_oracle(self):
-        # independent oracle: sort outcome distances and take the first one
-        # whose cumulative mass reaches the threshold
+        # oracles: sort outcome distances and take the first one whose
+        # cumulative mass reaches the threshold; and, independently, scan the
+        # candidate distances upward, summing the mass within each afresh
         rng = np.random.RandomState(17)
         for q in rng.uniform(0, 1, size=10):
             eig = constant_eigensystem(q, 8)
             schedule = build_pe_schedule(6, 8)
-            dist = measurement_distribution(run_schedule(schedule, eig))
+            probs = measurement_distribution(run_schedule(schedule, eig)).probabilities
             distances = np.abs(schedule.decoder.decode_all() - eig.eigenvalues[0])
             order = np.argsort(distances)
-            cum = np.cumsum(dist.probabilities[order])
+            cum = np.cumsum(probs[order])
             expected = distances[order][np.searchsorted(cum, 0.75)]
+            scanned = next(d for d in np.unique(distances)
+                           if probs[distances <= d].sum() >= 0.75)
             report = worst_case_error_sweep(6, 8, [q])
-            assert report.epsilon_achieved == pytest.approx(expected, abs=1e-11)
+            assert report.epsilon_achieved == expected == scanned
 
     def test_boundary_ties_count_as_success(self):
         # an eigenvalue exactly between two bins: both neighbors sit exactly

@@ -18,7 +18,8 @@ from powerquery import (
     run_schedule,
     sample_outcomes,
 )
-from powerquery.quantum import TARGET_STANDARD, StateVector
+from powerquery.quantum import (TARGET_EIGENBASIS, TARGET_STANDARD, StateVector,
+                                apply_unitary_array, control_rows, squared_norm)
 
 
 def random_unitary(dim, rng):
@@ -63,6 +64,40 @@ class TestLayoutAndInit:
             init_state(layout, [1.0, 0.5])
 
 
+class TestNormCheck:
+    def test_equal_rows_at_2_20_amplitudes_accepted(self):
+        # sequential BLAS summation misread this exact unit state by >1e-12
+        layout = RegisterLayout(control_qubits=20, target_dim=1)
+        amp = np.full((1 << 20, 1), np.exp(1.3j) / 1024)
+        state = StateVector(layout=layout, amplitudes=amp)
+        assert squared_norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
+
+    def test_small_deviation_still_rejected(self):
+        layout = RegisterLayout(control_qubits=20, target_dim=1)
+        amp = np.full((1 << 20, 1), np.exp(1.3j) / 1024) * (1 + 1e-11)
+        with pytest.raises(ValidationError, match="norm"):
+            StateVector(layout=layout, amplitudes=amp)
+
+
+class TestControlRows:
+    def test_bit_order(self):
+        k = np.arange(8)[:, None]
+        assert control_rows(k, 1, 1).ravel().tolist() == [4, 5, 6, 7]
+        assert control_rows(k, 2, 1).ravel().tolist() == [2, 3, 6, 7]
+        assert control_rows(k, 3, 1).ravel().tolist() == [1, 3, 5, 7]
+        assert control_rows(k, 3, 0).ravel().tolist() == [0, 2, 4, 6]
+
+    def test_leading_axes_and_write_through(self):
+        table = np.zeros((3, 4, 2))
+        control_rows(table, 2, 1)[1] = 5.0
+        assert np.array_equal(np.nonzero(table[1, :, 0])[0], [1, 3])
+        assert table[0].max() == 0 and table[2].max() == 0
+
+    def test_rejects_bit_outside_register(self):
+        with pytest.raises(ValidationError, match="control bit"):
+            control_rows(np.zeros((4, 1)), 3, 1)
+
+
 class TestPowerQuery:
     def test_control_bit_zero_is_identity(self):
         layout = RegisterLayout(control_qubits=1, target_dim=2)
@@ -102,10 +137,10 @@ class TestPowerQuery:
         layout = RegisterLayout(control_qubits=2, target_dim=2)
         eig = constant_eigensystem(0.3, 2)
         bit = 1
-        k = np.arange(layout.control_dim)
+        k = np.arange(layout.control_dim)[:, None]
         mat = np.zeros((4, 4), dtype=complex)
         for value in (0, 1):
-            idx = np.nonzero(layout.bit_value(k, bit) == value)[0]
+            idx = control_rows(k, bit, value).reshape(-1)
             mat[np.ix_(idx, idx)] = random_unitary(idx.size, rng)
         spec = UnitarySpec.control_dense(mat)
         state = random_state(layout, rng)
@@ -210,6 +245,28 @@ class TestApplyUnitary:
     def test_full_dense_size_limit(self):
         with pytest.raises(SimulationLimitError):
             UnitarySpec.full_dense(np.eye(8192))
+
+
+class TestUnitaryKernelOnStacks:
+    @pytest.mark.parametrize("kind", ["identity", "hadamard", "inverse-qft",
+                                      "control-dense", "full-dense"])
+    def test_stack_equals_slices(self, kind):
+        rng = np.random.RandomState(11)
+        c, n, m = 2, 3, 5
+        eig = constant_eigensystem(0.4, n)
+        spec = {
+            "identity": UnitarySpec.identity(),
+            "hadamard": UnitarySpec.hadamard_layer(),
+            "inverse-qft": UnitarySpec.inverse_qft(),
+            "control-dense": UnitarySpec.control_dense(random_unitary(1 << c, rng)),
+            "full-dense": UnitarySpec.full_dense(random_unitary((1 << c) * n, rng)),
+        }[kind]
+        stack = rng.standard_normal((m, 1 << c, n)) + 1j * rng.standard_normal((m, 1 << c, n))
+        out = apply_unitary_array(stack, spec, TARGET_EIGENBASIS, eig)
+        assert out.shape == stack.shape
+        for i in range(m):
+            alone = apply_unitary_array(stack[i], spec, TARGET_EIGENBASIS, eig)
+            assert np.abs(out[i] - alone).max() < 1e-14
 
 
 class TestRunSchedule:
