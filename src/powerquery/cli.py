@@ -57,7 +57,8 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("eigensolve", help="solve the full eigensystem")
     p.add_argument("--q", dest="potential", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="residual bound checked on the result, relative to (n+1)^2")
     p.add_argument("--vectors", action="store_true", help="include eigenvectors in JSON output")
     add_common(p)
 

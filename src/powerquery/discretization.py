@@ -3,8 +3,10 @@
 The boundary-value problem with Dirichlet conditions is discretized at the
 interior points j/(n+1), giving a symmetric tridiagonal matrix with diagonal
 2(n+1)^2 + q(j/(n+1)) and constant off-diagonal -(n+1)^2.  For a constant
-potential the eigenpairs have closed forms; for general potentials a
-Sturm-sequence bisection plus inverse iteration solver is provided.
+potential the eigenpairs have closed forms.  For general potentials the full
+eigensystem comes from LAPACK's symmetric solver and is checked (residual,
+orthonormality, ordering) before use; a Sturm-sequence bisection gives single
+eigenvalues without eigenvectors and serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import NumericalError, ValidationError
 CLASS_CHECK_GRID = 1024
 DEFAULT_SOLVE_TOL = 1e-12
 MAX_BISECTION_STEPS = 100
-MAX_INVERSE_ITERATIONS = 50
 
 
 # --------------------------------------------------------------------------
@@ -204,17 +205,15 @@ def build_matrix(q: PotentialSpec, n: int) -> TridiagonalSystem:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ascending eigenvalues, orthonormal eigenvector columns, and unit phase factors.
+    """Ascending eigenvalues and orthonormal eigenvector columns.
 
-    ``phase_factors[s]`` is exp(i * kinetic_s / 2) where kinetic_s is the
-    q-independent part of eigenvalue s.  It is defined only when the system
-    came from a constant potential (``constant_q`` is set); general solves
-    leave it None.
+    ``constant_q`` is set when the system came from a constant potential; the
+    q-independent part of the spectrum (``kinetic_eigenvalues``) is defined
+    only then.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    phase_factors: np.ndarray | None = None
     constant_q: float | None = None
 
     @property
@@ -230,16 +229,20 @@ class EigenSystem:
     def validate(self, system: TridiagonalSystem | None = None,
                  ortho_tol: float = 1e-10, residual_tol: float = 1e-10):
         """Check orthonormality, ordering, and (when the matrix is given) residuals."""
+        # in place, so that no more than three n-by-n arrays are alive at once
         gram = self.eigenvectors.T @ self.eigenvectors
-        dev = float(np.abs(gram - np.eye(self.n)).max())
+        gram[np.diag_indices(self.n)] -= 1.0
+        dev = float(np.abs(gram, out=gram).max())
+        del gram
         if dev > ortho_tol:
             raise NumericalError(f"eigenvector orthonormality deviation {dev:.3e} > {ortho_tol:g}")
         if np.any(np.diff(self.eigenvalues) <= 0):
             bad = int(np.argmax(np.diff(self.eigenvalues) <= 0))
             raise NumericalError(f"eigenvalues not strictly increasing at index {bad + 1}")
         if system is not None:
-            res = system.matvec(self.eigenvectors) - self.eigenvectors * self.eigenvalues[None, :]
-            rel = float(np.abs(res).max()) / system.scale
+            res = system.matvec(self.eigenvectors)
+            res -= self.eigenvectors * self.eigenvalues[None, :]
+            rel = float(np.abs(res, out=res).max()) / system.scale
             if rel > residual_tol:
                 raise NumericalError(
                     f"eigen residual {rel:.3e} (relative to (n+1)^2) exceeds {residual_tol:g}"
@@ -257,12 +260,9 @@ def constant_eigensystem(q: float, n: int) -> EigenSystem:
     eigenvalues = kinetic + q
     x = np.arange(1, n + 1, dtype=float)
     vectors = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(x, s) * np.pi / (n + 1))
-    phase = np.exp(0.5j * kinetic)
     eigenvalues.setflags(write=False)
     vectors.setflags(write=False)
-    phase.setflags(write=False)
-    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=vectors,
-                       phase_factors=phase, constant_q=float(q))
+    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=vectors, constant_q=float(q))
 
 
 def continuum_eigenvalue(q: float) -> float:
@@ -273,7 +273,7 @@ def continuum_eigenvalue(q: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Sturm-sequence bisection + inverse iteration
+# Sturm-sequence bisection and the full eigensystem
 # --------------------------------------------------------------------------
 
 def _count_below(diag: np.ndarray, off2: float, shifts: np.ndarray, pivmin: float) -> np.ndarray:
@@ -321,127 +321,23 @@ def smallest_eigenvalue(system: TridiagonalSystem, abs_tol: float | None = None)
     return float(_bisect_eigenvalues(system, np.array([1]), abs_tol)[0])
 
 
-def _solve_shifted(diag: np.ndarray, off: float, shifts: np.ndarray,
-                   rhs: np.ndarray) -> np.ndarray:
-    """Solve (J - shift_j I) x_j = rhs_j for every column j, with partial pivoting.
-
-    Near-singular pivots are nudged by a tiny amount so that inverse iteration
-    can proceed through (intentionally) almost-singular shifts.
-    """
-    n = diag.size
-    m = shifts.size
-    b = diag[:, None] - shifts[None, :]
-    du0 = np.empty((n, m))
-    du1 = np.zeros((n, m))
-    du2 = np.zeros((n, m))
-    y = rhs.copy()
-    cur_d = b[0].copy()
-    cur_e1 = np.full(m, off) if n > 1 else np.zeros(m)
-    cur_e2 = np.zeros(m)
-    floor = np.finfo(float).tiny ** 0.5
-
-    def _nudge(d):
-        return np.where(np.abs(d) < floor, np.where(d < 0, -floor, floor), d)
-
-    for i in range(n - 1):
-        nxt_d = b[i + 1]
-        nxt_e1 = np.full(m, off) if i + 1 < n - 1 else np.zeros(m)
-        swap = abs(off) > np.abs(cur_d)
-        top_d = _nudge(np.where(swap, off, cur_d))
-        top_e1 = np.where(swap, nxt_d, cur_e1)
-        top_e2 = np.where(swap, nxt_e1, cur_e2)
-        bot_d = np.where(swap, cur_d, off)
-        bot_e1 = np.where(swap, cur_e1, nxt_d)
-        bot_e2 = np.where(swap, cur_e2, nxt_e1)
-        y_top = np.where(swap, y[i + 1], y[i])
-        y_bot = np.where(swap, y[i], y[i + 1])
-        mult = bot_d / top_d
-        du0[i], du1[i], du2[i] = top_d, top_e1, top_e2
-        y[i] = y_top
-        cur_d = bot_e1 - mult * top_e1
-        cur_e1 = bot_e2 - mult * top_e2
-        cur_e2 = np.zeros(m)
-        y[i + 1] = y_bot - mult * y_top
-    du0[n - 1] = _nudge(cur_d)
-
-    x = np.empty((n, m))
-    x[n - 1] = y[n - 1] / du0[n - 1]
-    if n >= 2:
-        x[n - 2] = (y[n - 2] - du1[n - 2] * x[n - 1]) / du0[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - du1[i] * x[i + 1] - du2[i] * x[i + 2]) / du0[i]
-    return x
-
-
-def _clusters(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
-    groups = [[0]]
-    for i in range(1, eigenvalues.size):
-        if eigenvalues[i] - eigenvalues[i - 1] < tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def solve_eigensystem(system: TridiagonalSystem, tol: float = DEFAULT_SOLVE_TOL) -> EigenSystem:
-    """Full spectral decomposition by Sturm bisection plus inverse iteration.
+    """Full spectral decomposition by LAPACK's symmetric solver (``numpy.linalg.eigh``).
 
-    The residual of every eigenpair is at most tol * (n+1)^2.  Clustered
-    eigenvalues are handled by perturbing shifts and reorthogonalizing the
-    cluster's vectors, which keeps the eigenvector matrix orthonormal.
+    The result is checked before it is returned: the residual of every
+    eigenpair is at most tol * (n+1)^2, the eigenvector matrix is orthonormal
+    to 1e-10, and the eigenvalues ascend strictly.  Each eigenvector is signed
+    so that its first component of noticeable size is positive.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    n = system.n
-    scale = system.scale
-    indices = np.arange(1, n + 1)
-    eigenvalues = _bisect_eigenvalues(system, indices, abs_tol=tol * scale / 4)
-
-    eps = np.finfo(float).eps
-    cluster_tol = max(1e-8 * scale, 1e3 * eps * scale)
-    groups = _clusters(eigenvalues, cluster_tol)
-    shifts = eigenvalues.copy()
-    for g in groups:
-        for ordinal, idx in enumerate(g):
-            shifts[idx] += ordinal * 64 * eps * scale
-
-    rng = np.random.RandomState(314159)
-    v = rng.standard_normal((n, n))
-    v /= np.linalg.norm(v, axis=0)
-    res_tol = tol * scale
-    converged = False
-    for _ in range(MAX_INVERSE_ITERATIONS):
-        v = _solve_shifted(system.diag, system.offdiag, shifts, v)
-        v /= np.linalg.norm(v, axis=0)
-        for g in groups:
-            if len(g) > 1:
-                for pos, idx in enumerate(g[1:], start=1):
-                    prev = v[:, g[:pos]]
-                    v[:, idx] -= prev @ (prev.T @ v[:, idx])
-                    v[:, idx] /= np.linalg.norm(v[:, idx])
-        residual = np.abs(system.matvec(v) - v * eigenvalues[None, :]).max(axis=0)
-        if residual.max() <= res_tol:
-            converged = True
-            break
-    if not converged:
-        bad = int(np.argmax(residual))
-        raise NumericalError(
-            f"inverse iteration did not converge for eigenvalue index {bad + 1} "
-            f"(residual {residual[bad]:.3e})"
-        )
+    eigenvalues, v = np.linalg.eigh(system.dense())
 
     # deterministic sign: first component of noticeable size is positive
     lead = np.argmax(np.abs(v) > 1e-8 * np.abs(v).max(axis=0)[None, :], axis=0)
-    signs = np.where(v[lead, np.arange(n)] < 0, -1.0, 1.0)
-    v = v * signs[None, :]
+    v *= np.where(v[lead, np.arange(system.n)] < 0, -1.0, 1.0)
 
-    eig = EigenSystem(
-        eigenvalues=eigenvalues,
-        eigenvectors=v,
-        phase_factors=(np.exp(0.5j * (eigenvalues - system.constant_q))
-                       if system.constant_q is not None else None),
-        constant_q=system.constant_q,
-    )
+    eig = EigenSystem(eigenvalues=eigenvalues, eigenvectors=v, constant_q=system.constant_q)
     eig.validate(system, ortho_tol=1e-10, residual_tol=max(tol, 1e-15))
     return eig
 

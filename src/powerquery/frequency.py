@@ -142,7 +142,7 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
     squared-coefficient sum must stay at 1 throughout; any drift beyond 1e-12
     raises.
     """
-    if eig.constant_q is None or eig.phase_factors is None:
+    if eig.constant_q is None:
         raise ValidationError(
             "symbolic propagation needs an eigensystem from a constant-potential family"
         )

@@ -53,7 +53,7 @@ def family_eigensystem(q: float, n: int) -> EigenSystem:
     """Constant-family eigensystem extended beyond the class range of q."""
     base = constant_eigensystem(0.0, n)
     return EigenSystem(eigenvalues=base.eigenvalues + q, eigenvectors=base.eigenvectors,
-                       phase_factors=base.phase_factors, constant_q=q)
+                       constant_q=q)
 
 
 def test_criterion_01_closed_form_eigensystem():
@@ -91,7 +91,7 @@ def test_criterion_03_exact_phase_determinism():
     for queries, index in ((3, 3), (6, 21), (10, 497)):
         lam = FOUR_PI * index / (1 << queries)
         eig = EigenSystem(eigenvalues=np.array([lam]), eigenvectors=np.array([[1.0]]),
-                          phase_factors=np.exp(0.5j * np.array([lam])), constant_q=0.0)
+                          constant_q=0.0)
         probs = measurement_distribution(
             run_schedule(build_pe_schedule(queries, 1), eig)).probabilities
         leakage = max(leakage, float(abs(probs[index] - 1.0)))

@@ -63,6 +63,22 @@ class TestEigensolve:
         assert lines[0] == "s,eigenvalue"
         assert len(lines) == 4
 
+    def test_vectors_independent_of_blas_threads(self):
+        # LAPACK decides the payload, so its bytes must not depend on how
+        # many threads OpenBLAS uses
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        payloads = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-m", "powerquery.cli", "eigensolve",
+                 "--q", "poly:0.5,0.1,-0.05", "--n", "300", "--vectors"],
+                capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            payloads.append(proc.stdout)
+        assert payloads[0] == payloads[1]
+
 
 class TestPhaseEstimate:
     def test_json_success_field(self, capsys):

@@ -118,10 +118,12 @@ class TestConstantEigensystem:
         gram = eig.eigenvectors.T @ eig.eigenvectors
         assert np.abs(gram - np.eye(12)).max() < 1e-10
 
-    def test_phase_factors_are_kinetic(self):
+    def test_kinetic_eigenvalues_drop_q(self):
         eig = constant_eigensystem(0.4, 5)
-        expected = np.exp(0.5j * (eig.eigenvalues - 0.4))
-        assert np.abs(eig.phase_factors - expected).max() < 1e-12
+        expected = eig.eigenvalues - 0.4
+        assert np.abs(eig.kinetic_eigenvalues - expected).max() < 1e-12
+        assert np.abs(eig.kinetic_eigenvalues
+                      - constant_eigensystem(0.0, 5).eigenvalues).max() < 1e-12
 
     def test_preconditions(self):
         with pytest.raises(ValidationError):
@@ -166,6 +168,17 @@ class TestSolveEigensystem:
                 sign = np.sign(np.sum(eig.eigenvectors * ref.eigenvectors, axis=0))
                 assert np.abs(eig.eigenvectors * sign - ref.eigenvectors).max() < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 128, 1024])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.9, 1.0])
+    def test_accuracy_against_closed_form(self, q, n):
+        # eigenvalues to a few ulps of the matrix norm, and eigenvectors equal
+        # to the closed form as they stand: the sign rule must give each
+        # sin(pi s x) its positive first component without any alignment here
+        eig = solve_eigensystem(build_matrix(PotentialSpec.constant(q), n))
+        ref = constant_eigensystem(q, n)
+        assert np.abs(eig.eigenvalues - ref.eigenvalues).max() <= 1e-14 * (n + 1) ** 2
+        assert np.abs(eig.eigenvectors - ref.eigenvectors).max() <= 1e-12
+
     def test_orthonormality_invariant(self):
         rng = np.random.RandomState(3)
         q = PotentialSpec.sampled(rng.uniform(0, 1, size=24))
@@ -183,10 +196,10 @@ class TestSolveEigensystem:
         with pytest.raises(ValidationError):
             solve_eigensystem(build_matrix(PotentialSpec.constant(0.0), 3), tol=0.0)
 
-    def test_phase_factors_absent_for_general_potential(self):
+    def test_kinetic_eigenvalues_absent_for_general_potential(self):
         q = PotentialSpec.sampled([0.2, 0.8, 0.5])
         eig = solve_eigensystem(build_matrix(q, 3))
-        assert eig.phase_factors is None
+        assert eig.constant_q is None
         with pytest.raises(ValidationError):
             eig.kinetic_eigenvalues
 

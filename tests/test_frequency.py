@@ -41,7 +41,6 @@ def constant_family_eigensystem(q: float, n: int) -> EigenSystem:
     return EigenSystem(
         eigenvalues=base.eigenvalues + q,
         eigenvectors=base.eigenvectors,
-        phase_factors=base.phase_factors,
         constant_q=q,
     )
 
@@ -196,7 +195,7 @@ class TestSymbolicRun:
         schedule = build_pe_schedule(2, 3)
         eig = constant_eigensystem(0.0, 3)
         stripped = EigenSystem(eigenvalues=eig.eigenvalues, eigenvectors=eig.eigenvectors,
-                               phase_factors=None, constant_q=None)
+                               constant_q=None)
         with pytest.raises(ValidationError, match="constant"):
             symbolic_run(schedule, stripped)
 

@@ -40,7 +40,6 @@ def synthetic_eigensystem(lam: float) -> EigenSystem:
     return EigenSystem(
         eigenvalues=np.array([lam]),
         eigenvectors=np.array([[1.0]]),
-        phase_factors=np.exp(0.5j * np.array([lam])),
         constant_q=0.0,
     )
 
@@ -216,7 +215,7 @@ class TestWorstCaseError:
         queries = 4
         lam = FOUR_PI * 5.5 / (1 << queries)
         eig = EigenSystem(eigenvalues=np.array([lam]), eigenvectors=np.array([[1.0]]),
-                          phase_factors=np.exp(0.5j * np.array([lam])), constant_q=0.0)
+                          constant_q=0.0)
         schedule = build_pe_schedule(queries, 1)
         dist = measurement_distribution(run_schedule(schedule, eig))
         estimates = schedule.decoder.decode_all()
