@@ -211,16 +211,13 @@ def _cmd_eigensolve(args, config) -> RunReport:
     system = build_matrix(potential, n)
     timer.lap("setup")
     eig = solve_eigensystem(system, tol=tol)
-    gram_dev = float(np.abs(eig.eigenvectors.T @ eig.eigenvectors - np.eye(n)).max())
-    residual = float(np.abs(system.matvec(eig.eigenvectors)
-                            - eig.eigenvectors * eig.eigenvalues[None, :]).max()) / system.scale
     timer.lap("compute")
     results = {
         "n": n,
         "tol": tol,
         "eigenvalues": list(eig.eigenvalues),
-        "orthonormality_deviation": gram_dev,
-        "relative_residual": residual,
+        "orthonormality_deviation": eig.orthonormality_deviation,
+        "relative_residual": eig.relative_residual,
     }
     if want_vectors:
         results["eigenvectors"] = [list(eig.eigenvectors[:, s]) for s in range(n)]
@@ -359,13 +356,8 @@ def _cmd_freq_audit(args, config) -> RunReport:
         n = _resolve(args, config, "n", required=True, cast=int)
         schedule = build_pe_schedule(pe_queries, n)
         coeffs = symbolic_run(schedule, constant_eigensystem(0.0, n))
-        rows = []
-        for mi, m in enumerate(coeffs.m_values):
-            ks, ss = np.nonzero(np.abs(coeffs.table[mi]) > 0)
-            for k, s0 in zip(ks, ss):
-                value = coeffs.table[mi, k, s0]
-                rows.append([int(k), int(s0) + 1, int(m), value.real, value.imag])
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        rows = sorted([k, s, m, value.real, value.imag]
+                      for (k, s, m), value in coeffs.entries().items())
         with open(dump_path, "w", newline="") as fh:
             fh.write(render_csv(["k", "s", "m", "re", "im"], rows))
         timer.lap("dump")

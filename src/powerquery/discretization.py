@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,12 +209,15 @@ class EigenSystem:
 
     ``constant_q`` is set when the system came from a constant potential; the
     q-independent part of the spectrum (``kinetic_eigenvalues``) is defined
-    only then.
+    only then.  ``solve_eigensystem`` records the orthonormality deviation and
+    the relative residual that its check measured.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     constant_q: float | None = None
+    orthonormality_deviation: float | None = None
+    relative_residual: float | None = None
 
     @property
     def n(self) -> int:
@@ -227,8 +230,13 @@ class EigenSystem:
         return self.eigenvalues - self.constant_q
 
     def validate(self, system: TridiagonalSystem | None = None,
-                 ortho_tol: float = 1e-10, residual_tol: float = 1e-10):
-        """Check orthonormality, ordering, and (when the matrix is given) residuals."""
+                 ortho_tol: float = 1e-10, residual_tol: float = 1e-10
+                 ) -> tuple[float, float | None]:
+        """Check orthonormality, ordering, and (when the matrix is given) residuals.
+
+        Returns the orthonormality deviation max|V^T V - I| and the largest
+        residual relative to (n+1)^2, or None without the matrix.
+        """
         # in place, so that no more than three n-by-n arrays are alive at once
         gram = self.eigenvectors.T @ self.eigenvectors
         gram[np.diag_indices(self.n)] -= 1.0
@@ -239,6 +247,7 @@ class EigenSystem:
         if np.any(np.diff(self.eigenvalues) <= 0):
             bad = int(np.argmax(np.diff(self.eigenvalues) <= 0))
             raise NumericalError(f"eigenvalues not strictly increasing at index {bad + 1}")
+        rel = None
         if system is not None:
             res = system.matvec(self.eigenvectors)
             res -= self.eigenvectors * self.eigenvalues[None, :]
@@ -247,6 +256,7 @@ class EigenSystem:
                 raise NumericalError(
                     f"eigen residual {rel:.3e} (relative to (n+1)^2) exceeds {residual_tol:g}"
                 )
+        return dev, rel
 
 
 def constant_eigensystem(q: float, n: int) -> EigenSystem:
@@ -338,8 +348,8 @@ def solve_eigensystem(system: TridiagonalSystem, tol: float = DEFAULT_SOLVE_TOL)
     v *= np.where(v[lead, np.arange(system.n)] < 0, -1.0, 1.0)
 
     eig = EigenSystem(eigenvalues=eigenvalues, eigenvectors=v, constant_q=system.constant_q)
-    eig.validate(system, ortho_tol=1e-10, residual_tol=max(tol, 1e-15))
-    return eig
+    dev, rel = eig.validate(system, ortho_tol=1e-10, residual_tol=max(tol, 1e-15))
+    return replace(eig, orthonormality_deviation=dev, relative_residual=rel)
 
 
 # --------------------------------------------------------------------------

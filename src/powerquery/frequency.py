@@ -7,6 +7,10 @@ doubling per query.  Measurement probabilities of outcome blocks are then
 trigonometric polynomials over the difference-frequency set, with a universal
 bound on their coefficients.  This module tracks both expansions exactly and
 cross-checks them by least-squares fitting.
+
+The coefficient table stores only the live eigencolumns of the schedule
+(`quantum.live_columns`); every other column is zero at every frequency.
+Outcome indices and the entry limit still count all n eigenvectors.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from .discretization import EigenSystem
 from .errors import (ConditioningError, NumericalError, SimulationLimitError,
                      ValidationError)
 from .quantum import (TARGET_EIGENBASIS, AlgorithmSchedule, RegisterLayout,
-                      StateVector, apply_unitary_array, control_rows,
-                      squared_norm)
+                      StateVector, apply_power_query_array, apply_unitary_array,
+                      control_rows, live_columns, squared_norm)
 
 DEFAULT_ENTRY_LIMIT = 2 ** 22
 PRUNE_TOL = 1e-15
@@ -91,25 +95,25 @@ def probability_frequencies(powers) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TrigCoefficients:
-    """Frequency expansion of a final state: table[m_index, control, eigenvector].
+    """Frequency expansion of a final state: table[m_index, control, stored column].
 
-    The amplitude at (control k, eigenvector s) for potential value q is
-    sum_m table[m][k, s] * exp(i m q / 2).  The total squared magnitude is 1
+    Stored column j is eigenvector ``columns[j]`` (0-based) of ``target_dim``;
+    the coefficients of every other eigenvector are zero.  The amplitude at
+    (control k, eigenvector columns[j]) for potential value q is
+    sum_m table[m][k, j] * exp(i m q / 2).  The total squared magnitude is 1
     and is recorded after every propagation step in ``norm_history``.
     """
 
     powers: tuple[int, ...]
     m_values: tuple[int, ...]
-    table: np.ndarray  # complex, shape (len(m_values), 2^c, n)
+    table: np.ndarray  # complex, shape (len(m_values), 2^c, len(columns))
+    columns: tuple[int, ...]
+    target_dim: int
     norm_history: tuple[float, ...]
 
     @property
     def control_dim(self) -> int:
         return int(self.table.shape[1])
-
-    @property
-    def target_dim(self) -> int:
-        return int(self.table.shape[2])
 
     @property
     def outcome_count(self) -> int:
@@ -120,24 +124,30 @@ class TrigCoefficients:
         """Sparse view {(control, eigen index 1-based, frequency): coefficient}."""
         out = {}
         for mi, m in enumerate(self.m_values):
-            ks, ss = np.nonzero(np.abs(self.table[mi]) > tol)
-            for k, s0 in zip(ks, ss):
-                out[(int(k), int(s0) + 1, int(m))] = complex(self.table[mi, k, s0])
+            ks, js = np.nonzero(np.abs(self.table[mi]) > tol)
+            for k, j in zip(ks, js):
+                out[(int(k), self.columns[j] + 1, int(m))] = complex(self.table[mi, k, j])
         return out
 
+    def joint_outcomes(self) -> np.ndarray:
+        """Joint outcome k * n + s0 of each row of ``joint_table``, ascending."""
+        ks = np.arange(self.control_dim)[:, None]
+        return (ks * self.target_dim + np.asarray(self.columns, dtype=int)[None, :]).reshape(-1)
+
     def joint_table(self) -> np.ndarray:
-        """Coefficients reshaped to (joint outcome, m index)."""
-        return self.table.transpose(1, 2, 0).reshape(self.outcome_count, len(self.m_values))
+        """Stored coefficients reshaped to (stored joint outcome, m index)."""
+        return self.table.transpose(1, 2, 0).reshape(-1, len(self.m_values))
 
 
 def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
                  entry_limit: int = DEFAULT_ENTRY_LIMIT) -> TrigCoefficients:
     """Propagate the frequency expansion through the whole schedule.
 
-    A power query moves the coefficients of control rows with the queried bit
-    set up by its power while multiplying in the eigenvector's unit phase
-    factor; fixed unitaries mix coefficients within each frequency slice,
-    through the same kernel as the state-vector simulator.  Entries below
+    A power query multiplies the control rows with the queried bit set by the
+    eigenvector's unit phase factor and moves their coefficients up by its
+    power; fixed unitaries mix coefficients within each frequency slice.  Both
+    go through the state-vector simulator's kernels, on the live eigencolumns
+    only.  The entry limit counts all n eigencolumns.  Entries below
     ``PRUNE_TOL`` in magnitude are zeroed after each unitary.  The
     squared-coefficient sum must stay at 1 throughout; any drift beyond 1e-12
     raises.
@@ -155,9 +165,11 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
     if schedule.initial_state.basis != TARGET_EIGENBASIS:
         raise ValidationError("symbolic propagation requires an eigenbasis initial state")
 
+    live = live_columns(schedule)
+    kinetic = eig.kinetic_eigenvalues[live]
     m_values = np.zeros(1, dtype=np.int64)
-    table = apply_unitary_array(schedule.initial_state.amplitudes[None].astype(complex),
-                                schedule.initial_unitary, TARGET_EIGENBASIS, eig)
+    start = np.take(schedule.initial_state.amplitudes, live, axis=1).astype(complex)
+    table = apply_unitary_array(start[None], schedule.initial_unitary, TARGET_EIGENBASIS, eig)
     history = [squared_norm(table)]
 
     for step_index, step in enumerate(schedule.steps, start=1):
@@ -169,13 +181,12 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
                 f"step {step_index}: coefficient table of {entries} entries "
                 f"exceeds the limit of {entry_limit}"
             )
-        shifted = np.zeros((new_values.size, layout.control_dim, layout.target_dim),
-                           dtype=complex)
+        shifted = np.zeros((new_values.size, layout.control_dim, live.size), dtype=complex)
         hold = np.searchsorted(new_values, m_values)
         move = np.searchsorted(new_values, m_values + p)
+        apply_power_query_array(table, bit, p, kinetic)
         control_rows(shifted, bit, 0)[hold] = control_rows(table, bit, 0)
-        control_rows(shifted, bit, 1)[move] = (control_rows(table, bit, 1)
-                                               * np.exp(0.5j * p * eig.kinetic_eigenvalues))
+        control_rows(shifted, bit, 1)[move] = control_rows(table, bit, 1)
         m_values, table = new_values, shifted
         history.append(squared_norm(table))
 
@@ -193,6 +204,8 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
         powers=schedule.powers,
         m_values=tuple(m_values.tolist()),
         table=table,
+        columns=tuple(live.tolist()),
+        target_dim=layout.target_dim,
         norm_history=tuple(history),
     )
 
@@ -202,7 +215,8 @@ def evaluate_symbolic(coeffs: TrigCoefficients, q: float) -> StateVector:
     if not 0.0 <= q < 1.0:
         raise ValidationError(f"potential value must lie in [0,1), got {q}")
     phases = np.exp(0.5j * q * np.asarray(coeffs.m_values, dtype=float))
-    amp = np.tensordot(phases, coeffs.table, axes=([0], [0]))
+    amp = np.zeros((coeffs.control_dim, coeffs.target_dim), dtype=complex)
+    amp[:, coeffs.columns] = np.tensordot(phases, coeffs.table, axes=([0], [0]))
     layout = RegisterLayout(control_qubits=(coeffs.control_dim - 1).bit_length(),
                             target_dim=coeffs.target_dim)
     return StateVector(layout=layout, amplitudes=amp)
@@ -252,7 +266,7 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
     Blocks are sets of flattened joint outcomes (control * n + eigenindex).
     The coefficient for block B at frequency l collects conj(c_m) * c_{m+l}
     over the block's outcomes, computed by FFT autocorrelation along the
-    frequency axis.
+    frequency axis for the stored outcomes only; the others contribute zero.
     """
     blocks = [np.asarray(sorted(block), dtype=int) for block in partition]
     total = coeffs.outcome_count
@@ -270,17 +284,21 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
 
     m = np.asarray(coeffs.m_values)
     span = int(m.max() - m.min() + 1)
-    dense = np.zeros((total, span), dtype=complex)
-    dense[:, m - m.min()] = coeffs.joint_table()
+    stored = coeffs.joint_table()
+    dense = np.zeros((stored.shape[0], span), dtype=complex)
+    dense[:, m - m.min()] = stored
     nfft = 2 * span
     spectrum = np.abs(np.fft.fft(dense, nfft, axis=1)) ** 2
     correlation = np.fft.ifft(spectrum, axis=1)
 
     l_values = probability_frequencies(coeffs.powers)
     cols = np.asarray(l_values) % nfft
+    row_of = np.full(total, -1)
+    row_of[coeffs.joint_outcomes()] = np.arange(stored.shape[0])
     table = np.empty((len(blocks), len(l_values)), dtype=complex)
     for b, block in enumerate(blocks):
-        table[b] = correlation[block][:, cols].sum(axis=0)
+        rows = row_of[block]
+        table[b] = correlation[rows[rows >= 0]][:, cols].sum(axis=0)
 
     sums = np.abs(table).sum(axis=0)
     if sums.max() > 1.0 + BLOCK_BOUND_TOL:

@@ -5,6 +5,11 @@ eigenbasis of the discretized operator, so that a controlled power of the
 propagator is a single diagonal phase multiplication.  Conversion to the
 standard basis happens only when a measurement asks for it.
 
+Every fixed unitary except a full-space matrix acts on the control register
+alone, so a schedule never mixes eigencolumns: a column that starts at zero
+stays zero.  `run_schedule` therefore propagates only the live columns, each
+with its own eigenvalue, and returns the full-width state.
+
 Control bits are numbered 1..c with bit 1 the most significant bit of the
 control index, matching the top-to-bottom wire order of the usual phase
 estimation circuit and making the binary-fraction decoding a direct bit read.
@@ -66,6 +71,12 @@ def squared_norm(amplitudes: np.ndarray) -> float:
                          for i in range(0, values.size, NORM_PIECE)]))
 
 
+def _check_norm(amplitudes: np.ndarray):
+    norm = math.sqrt(squared_norm(amplitudes))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:g}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Amplitudes indexed by (control index, target index), unit norm."""
@@ -82,9 +93,7 @@ class StateVector:
             )
         if self.basis not in (TARGET_EIGENBASIS, TARGET_STANDARD):
             raise ValidationError(f"unknown basis tag {self.basis!r}")
-        norm = math.sqrt(squared_norm(self.amplitudes))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:g}")
+        _check_norm(self.amplitudes)
 
     def _replace_amplitudes(self, amplitudes: np.ndarray, basis: str | None = None) -> "StateVector":
         return StateVector(layout=self.layout, amplitudes=amplitudes,
@@ -237,14 +246,28 @@ def control_rows(amplitudes: np.ndarray, control_bit: int, value: int) -> np.nda
     return split[..., value, :, :]
 
 
+def apply_power_query_array(amplitudes: np.ndarray, control_bit: int, power: int,
+                            eigenvalues: np.ndarray):
+    """In place, multiply rows of (..., 2^c, cols) with control bit set by exp(i * power * lambda / 2).
+
+    `eigenvalues` holds one lambda per column.
+    """
+    rows = control_rows(amplitudes, control_bit, 1)
+    rows *= np.exp(0.5j * power * eigenvalues)
+
+
+def _require_eigenbasis(basis: str):
+    if basis != TARGET_EIGENBASIS:
+        raise ValidationError(
+            "power queries require the target axis in the eigenbasis; "
+            f"state is tagged {basis!r}"
+        )
+
+
 def apply_power_query(state: StateVector, control_bit: int, power: int,
                       eig: EigenSystem) -> StateVector:
     """Multiply amplitudes with control bit set by exp(i * power * eigenvalue_s / 2)."""
-    if state.basis != TARGET_EIGENBASIS:
-        raise ValidationError(
-            "power queries require the target axis in the eigenbasis; "
-            f"state is tagged {state.basis!r}"
-        )
+    _require_eigenbasis(state.basis)
     if power < 1:
         raise ValidationError(f"power must be >= 1, got {power}")
     layout = state.layout
@@ -253,8 +276,7 @@ def apply_power_query(state: StateVector, control_bit: int, power: int,
             f"eigensystem dimension {eig.n} does not match target dimension {layout.target_dim}"
         )
     amp = state.amplitudes.copy()
-    rows = control_rows(amp, control_bit, 1)
-    rows *= np.exp(0.5j * power * eig.eigenvalues)
+    apply_power_query_array(amp, control_bit, power, eig.eigenvalues)
     return state._replace_amplitudes(amp)
 
 
@@ -345,18 +367,61 @@ def apply_unitary(state: StateVector, spec: UnitarySpec,
     return state if amp is state.amplitudes else state._replace_amplitudes(amp)
 
 
+def live_columns(schedule: AlgorithmSchedule) -> np.ndarray:
+    """Ascending eigen indices of the target columns the schedule can change.
+
+    These are the non-zero columns of the initial state.  A full-space
+    unitary couples the columns, and a standard-basis start has no eigen
+    columns, so either makes every column live.
+    """
+    start = schedule.initial_state
+    unitaries = (schedule.initial_unitary,) + tuple(step.unitary for step in schedule.steps)
+    if start.basis != TARGET_EIGENBASIS or any(u.kind == UnitarySpec.FULL_DENSE
+                                               for u in unitaries):
+        return np.arange(schedule.layout.target_dim)
+    return np.flatnonzero(np.any(start.amplitudes != 0, axis=0))
+
+
 def run_schedule(schedule: AlgorithmSchedule, eig: EigenSystem) -> StateVector:
-    """Evaluate the full algorithm product on the schedule's initial state."""
-    if eig.n != schedule.layout.target_dim:
+    """Evaluate the full algorithm product on the schedule's initial state.
+
+    Only the live columns (`live_columns`) are propagated, with queries
+    applied in place; the full-width state is assembled once at the end.  The
+    norm is checked after the initial unitary, after every query and after
+    every unitary that is not the identity.
+    """
+    layout, start = schedule.layout, schedule.initial_state
+    if eig.n != layout.target_dim:
         raise ValidationError(
             f"eigensystem dimension {eig.n} does not match schedule target dimension "
-            f"{schedule.layout.target_dim}"
+            f"{layout.target_dim}"
         )
-    state = apply_unitary(schedule.initial_state, schedule.initial_unitary, eig)
+    if schedule.steps:
+        _require_eigenbasis(start.basis)
+    live = live_columns(schedule)
+    whole = live.size == layout.target_dim
+    cols = start.amplitudes if whole else np.take(start.amplitudes, live, axis=1)
+    amp = apply_unitary_array(cols, schedule.initial_unitary, start.basis, eig)
+    if amp is start.amplitudes:
+        amp = amp.copy()
+    eigenvalues = eig.eigenvalues[live]
+    # a check waits until the state is about to change; the returned
+    # StateVector checks the last one
+    unchecked = schedule.initial_unitary.kind != UnitarySpec.IDENTITY
     for step in schedule.steps:
-        state = apply_power_query(state, step.control_bit, step.power, eig)
-        state = apply_unitary(state, step.unitary, eig)
-    return state
+        if unchecked:
+            _check_norm(amp)
+        apply_power_query_array(amp, step.control_bit, step.power, eigenvalues)
+        mixed = apply_unitary_array(amp, step.unitary, start.basis, eig)
+        if mixed is not amp:
+            _check_norm(amp)
+            amp = mixed
+        unchecked = True
+    if not whole:
+        full = np.zeros((layout.control_dim, layout.target_dim), dtype=complex)
+        full[:, live] = amp
+        amp = full
+    return StateVector(layout=layout, amplitudes=amp, basis=start.basis)
 
 
 # --------------------------------------------------------------------------

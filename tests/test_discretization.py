@@ -192,6 +192,17 @@ class TestSolveEigensystem:
         res = system.matvec(eig.eigenvectors) - eig.eigenvectors * eig.eigenvalues[None, :]
         assert np.abs(res).max() / system.scale <= 1e-10
 
+    @pytest.mark.parametrize("text,n", [("const:0.5", 16), ("poly:0.5,0.1,-0.05", 300)])
+    def test_records_checked_deviation_and_residual(self, text, n):
+        system = build_matrix(parse_potential(text), n)
+        eig = solve_eigensystem(system)
+        v = eig.eigenvectors
+        gram_dev = float(np.abs(v.T @ v - np.eye(n)).max())
+        residual = float(np.abs(system.matvec(v) - v * eig.eigenvalues[None, :]).max())
+        assert eig.orthonormality_deviation == gram_dev
+        assert eig.relative_residual == residual / system.scale
+        assert constant_eigensystem(0.5, n).relative_residual is None
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValidationError):
             solve_eigensystem(build_matrix(PotentialSpec.constant(0.0), 3), tol=0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,12 @@ def constant_family_eigensystem(q: float, n: int) -> EigenSystem:
         eigenvectors=base.eigenvectors,
         constant_q=q,
     )
+
+
+def random_unitary(dim, rng):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    qmat, r = np.linalg.qr(z)
+    return qmat * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_powers(rng, max_queries=8):
@@ -166,6 +173,30 @@ class TestSymbolicRun:
             symbolic = evaluate_symbolic(coeffs, q)
             assert np.abs(numeric.amplitudes - symbolic.amplitudes).max() < 1e-10
 
+    def test_matches_numeric_on_live_subsets(self):
+        rng = np.random.RandomState(33)
+        for _ in range(10):
+            c, n = int(rng.randint(1, 4)), int(rng.randint(2, 6))
+            layout = RegisterLayout(control_qubits=c, target_dim=n)
+            live = np.sort(rng.choice(n, size=rng.randint(1, n), replace=False))
+            target = np.zeros(n, dtype=complex)
+            target[live] = rng.standard_normal(live.size) + 1j * rng.standard_normal(live.size)
+            steps = tuple(
+                QueryStep(control_bit=int(rng.randint(1, c + 1)), power=int(rng.randint(1, 6)),
+                          unitary=UnitarySpec.control_dense(random_unitary(1 << c, rng)))
+                for _ in range(int(rng.randint(1, 4)))
+            )
+            schedule = AlgorithmSchedule(
+                layout=layout, initial_state=init_state(layout, target / np.linalg.norm(target)),
+                initial_unitary=UnitarySpec.hadamard_layer(), steps=steps)
+            coeffs = symbolic_run(schedule, constant_eigensystem(0.0, n))
+            assert coeffs.columns == tuple(live.tolist())
+            assert coeffs.table.shape[2] == live.size and coeffs.target_dim == n
+            for q in rng.uniform(0, 1, size=4):
+                numeric = run_schedule(schedule, constant_eigensystem(q, n))
+                symbolic = evaluate_symbolic(coeffs, q)
+                assert np.abs(numeric.amplitudes - symbolic.amplitudes).max() <= 1e-12
+
     def test_norm_history(self):
         schedule = build_pe_schedule(4, 8)
         coeffs = symbolic_run(schedule, constant_eigensystem(0.3, 8))
@@ -176,7 +207,9 @@ class TestSymbolicRun:
         schedule = build_pe_schedule(3, 4)
         coeffs = symbolic_run(schedule, constant_eigensystem(0.0, 4))
         state = evaluate_symbolic(coeffs, 0.0)
-        assert np.abs(state.amplitudes - coeffs.table.sum(axis=0)).max() < 1e-12
+        stored = state.amplitudes[:, coeffs.columns]
+        assert np.abs(stored - coeffs.table.sum(axis=0)).max() < 1e-12
+        assert not np.any(np.delete(state.amplitudes, coeffs.columns, axis=1))
 
     def test_entry_limit(self):
         schedule = build_pe_schedule(5, 4)
@@ -264,6 +297,26 @@ class TestBetaCoefficients:
                 blocks = [np.nonzero(assignment == b)[0] for b in range(count)]
                 betas = beta_coefficients(coeffs, [b for b in blocks if b.size])
                 assert np.abs(betas.table).sum(axis=0).max() <= 1 + 1e-10
+
+    def test_stored_table_matches_zero_padded_reference(self):
+        rng = np.random.RandomState(45)
+        for target in ([1.0], [0.0, 0.6, 0.0, 0.8]):
+            n = len(target)
+            coeffs = symbolic_run(build_pe_schedule(4, n, initial_target=target),
+                                  constant_eigensystem(0.0, n))
+            padded = np.zeros(coeffs.table.shape[:2] + (n,), dtype=complex)
+            padded[:, :, list(coeffs.columns)] = coeffs.table
+            full = dataclasses.replace(coeffs, table=padded, columns=tuple(range(n)))
+            assert coeffs.entries() == full.entries()
+            for _ in range(5):
+                count = rng.randint(1, 5)
+                assignment = rng.randint(0, count, size=coeffs.outcome_count)
+                blocks = [b for b in (np.nonzero(assignment == b)[0] for b in range(count))
+                          if b.size]
+                stored = beta_coefficients(coeffs, blocks)
+                reference = beta_coefficients(full, blocks)
+                assert stored.l_values == reference.l_values
+                assert np.abs(stored.table - reference.table).max() <= 1e-15
 
     def test_conjugate_symmetry(self):
         betas = beta_coefficients(self.coeffs, [range(self.total)])

@@ -19,7 +19,8 @@ from powerquery import (
     sample_outcomes,
 )
 from powerquery.quantum import (TARGET_EIGENBASIS, TARGET_STANDARD, StateVector,
-                                apply_unitary_array, control_rows, squared_norm)
+                                apply_unitary_array, control_rows, live_columns,
+                                squared_norm)
 
 
 def random_unitary(dim, rng):
@@ -33,6 +34,39 @@ def random_state(layout, rng):
         + 1j * rng.standard_normal((layout.control_dim, layout.target_dim))
     amp /= np.linalg.norm(amp)
     return StateVector(layout=layout, amplitudes=amp)
+
+
+def random_sparse_schedule(rng, full_dense=False):
+    """Random schedule whose start fills a random subset of the eigencolumns.
+
+    Unitaries are control-dense, Hadamard, inverse QFT or identity; with
+    `full_dense` one of them, chosen at random, is a full-space matrix.
+    """
+    c, n = int(rng.randint(1, 4)), int(rng.randint(1, 6))
+    layout = RegisterLayout(control_qubits=c, target_dim=n)
+    live = np.sort(rng.choice(n, size=rng.randint(1, n + 1), replace=False))
+    amp = np.zeros((layout.control_dim, n), dtype=complex)
+    amp[:, live] = (rng.standard_normal((layout.control_dim, live.size))
+                    + 1j * rng.standard_normal((layout.control_dim, live.size)))
+    amp /= np.linalg.norm(amp)
+
+    def unitary():
+        kind = rng.randint(4)
+        if kind == 0:
+            return UnitarySpec.control_dense(random_unitary(layout.control_dim, rng))
+        return (UnitarySpec.hadamard_layer(), UnitarySpec.inverse_qft(),
+                UnitarySpec.identity())[kind - 1]
+
+    count = int(rng.randint(0, 5))
+    unitaries = [unitary() for _ in range(count + 1)]
+    if full_dense:
+        unitaries[rng.randint(count + 1)] = UnitarySpec.full_dense(
+            random_unitary(layout.control_dim * n, rng))
+    steps = tuple(QueryStep(control_bit=int(rng.randint(1, c + 1)),
+                            power=int(rng.randint(1, 9)), unitary=u)
+                  for u in unitaries[1:])
+    return AlgorithmSchedule(layout=layout, initial_state=StateVector(layout=layout, amplitudes=amp),
+                             initial_unitary=unitaries[0], steps=steps), live
 
 
 class TestLayoutAndInit:
@@ -315,6 +349,53 @@ class TestRunSchedule:
                               initial_unitary=UnitarySpec.identity(),
                               steps=(QueryStep(control_bit=2, power=1,
                                                unitary=UnitarySpec.identity()),))
+
+
+class TestLiveColumns:
+    def test_nonzero_start_columns(self):
+        rng = np.random.RandomState(12)
+        for _ in range(30):
+            schedule, live = random_sparse_schedule(rng)
+            assert np.array_equal(live_columns(schedule), live)
+
+    def test_full_dense_makes_every_column_live(self):
+        rng = np.random.RandomState(13)
+        for _ in range(30):
+            schedule, _ = random_sparse_schedule(rng, full_dense=True)
+            assert np.array_equal(live_columns(schedule), np.arange(schedule.layout.target_dim))
+
+    def test_standard_basis_start_makes_every_column_live(self):
+        layout = RegisterLayout(control_qubits=1, target_dim=3)
+        schedule = AlgorithmSchedule(layout=layout,
+                                     initial_state=init_state(layout, [0, 1, 0],
+                                                              basis=TARGET_STANDARD),
+                                     initial_unitary=UnitarySpec.hadamard_layer(), steps=())
+        assert np.array_equal(live_columns(schedule), [0, 1, 2])
+
+    @pytest.mark.parametrize("full_dense", [False, True])
+    def test_run_schedule_matches_step_by_step(self, full_dense):
+        rng = np.random.RandomState(14 + full_dense)
+        for _ in range(40):
+            schedule, _ = random_sparse_schedule(rng, full_dense)
+            eig = constant_eigensystem(float(rng.uniform(0, 1)), schedule.layout.target_dim)
+            start = schedule.initial_state.amplitudes.copy()
+            ref = apply_unitary(schedule.initial_state, schedule.initial_unitary, eig)
+            for step in schedule.steps:
+                ref = apply_power_query(ref, step.control_bit, step.power, eig)
+                ref = apply_unitary(ref, step.unitary, eig)
+            out = run_schedule(schedule, eig)
+            assert out.amplitudes.shape == ref.amplitudes.shape
+            assert np.abs(out.amplitudes - ref.amplitudes).max() <= 1e-12
+            assert np.array_equal(schedule.initial_state.amplitudes, start)
+
+    def test_run_schedule_rejects_standard_basis_start(self):
+        layout = RegisterLayout(control_qubits=1, target_dim=2)
+        schedule = AlgorithmSchedule(
+            layout=layout, initial_state=init_state(layout, [1, 0], basis=TARGET_STANDARD),
+            initial_unitary=UnitarySpec.identity(),
+            steps=(QueryStep(control_bit=1, power=1, unitary=UnitarySpec.identity()),))
+        with pytest.raises(ValidationError, match="eigenbasis"):
+            run_schedule(schedule, constant_eigensystem(0.0, 2))
 
 
 class TestMeasurement:
