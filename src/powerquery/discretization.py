@@ -3,10 +3,11 @@
 The boundary-value problem with Dirichlet conditions is discretized at the
 interior points j/(n+1), giving a symmetric tridiagonal matrix with diagonal
 2(n+1)^2 + q(j/(n+1)) and constant off-diagonal -(n+1)^2.  For a constant
-potential the eigenpairs have closed forms.  For general potentials the full
-eigensystem comes from LAPACK's symmetric solver and is checked (residual,
-orthonormality, ordering) before use; a Sturm-sequence bisection gives single
-eigenvalues without eigenvectors and serves as the independent reference.
+potential the eigenpairs have closed forms, which the discretization error
+study reads too.  For general potentials the full eigensystem comes from
+LAPACK's symmetric solver and is checked (residual, orthonormality, ordering)
+before use; a Sturm-sequence bisection gives single eigenvalues without
+eigenvectors and serves as the independent reference.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import NumericalError, ValidationError
 CLASS_CHECK_GRID = 1024
 DEFAULT_SOLVE_TOL = 1e-12
 MAX_BISECTION_STEPS = 100
+ORTHO_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -229,45 +231,45 @@ class EigenSystem:
             raise ValidationError("kinetic eigenvalues are defined only for constant potentials")
         return self.eigenvalues - self.constant_q
 
-    def validate(self, system: TridiagonalSystem | None = None,
-                 ortho_tol: float = 1e-10, residual_tol: float = 1e-10
-                 ) -> tuple[float, float | None]:
-        """Check orthonormality, ordering, and (when the matrix is given) residuals.
+    def validate(self, system: TridiagonalSystem, residual_tol: float) -> tuple[float, float]:
+        """Check orthonormality to ``ORTHO_TOL``, ordering, and residuals against the matrix.
 
         Returns the orthonormality deviation max|V^T V - I| and the largest
-        residual relative to (n+1)^2, or None without the matrix.
+        residual relative to (n+1)^2.
         """
         # in place, so that no more than three n-by-n arrays are alive at once
         gram = self.eigenvectors.T @ self.eigenvectors
         gram[np.diag_indices(self.n)] -= 1.0
         dev = float(np.abs(gram, out=gram).max())
         del gram
-        if dev > ortho_tol:
-            raise NumericalError(f"eigenvector orthonormality deviation {dev:.3e} > {ortho_tol:g}")
+        if dev > ORTHO_TOL:
+            raise NumericalError(f"eigenvector orthonormality deviation {dev:.3e} > {ORTHO_TOL:g}")
         if np.any(np.diff(self.eigenvalues) <= 0):
             bad = int(np.argmax(np.diff(self.eigenvalues) <= 0))
             raise NumericalError(f"eigenvalues not strictly increasing at index {bad + 1}")
-        rel = None
-        if system is not None:
-            res = system.matvec(self.eigenvectors)
-            res -= self.eigenvectors * self.eigenvalues[None, :]
-            rel = float(np.abs(res, out=res).max()) / system.scale
-            if rel > residual_tol:
-                raise NumericalError(
-                    f"eigen residual {rel:.3e} (relative to (n+1)^2) exceeds {residual_tol:g}"
-                )
+        res = system.matvec(self.eigenvectors)
+        res -= self.eigenvectors * self.eigenvalues[None, :]
+        rel = float(np.abs(res, out=res).max()) / system.scale
+        if rel > residual_tol:
+            raise NumericalError(
+                f"eigen residual {rel:.3e} (relative to (n+1)^2) exceeds {residual_tol:g}"
+            )
         return dev, rel
+
+
+def _kinetic_eigenvalues(n: int, s):
+    """Closed-form eigenvalues 4(n+1)^2 sin^2(s pi / (2(n+1))) of the n-point operator at q = 0."""
+    if n < 1:
+        raise ValidationError(f"grid size must be >= 1, got {n}")
+    return 4.0 * (n + 1) ** 2 * np.sin(s * np.pi / (2 * (n + 1))) ** 2
 
 
 def constant_eigensystem(q: float, n: int) -> EigenSystem:
     """Closed-form eigensystem of the discretized operator for constant q."""
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"constant potential must lie in [0,1], got {q}")
-    if n < 1:
-        raise ValidationError(f"grid size must be >= 1, got {n}")
     s = np.arange(1, n + 1, dtype=float)
-    kinetic = 4.0 * (n + 1) ** 2 * np.sin(s * np.pi / (2 * (n + 1))) ** 2
-    eigenvalues = kinetic + q
+    eigenvalues = _kinetic_eigenvalues(n, s) + q
     x = np.arange(1, n + 1, dtype=float)
     vectors = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(x, s) * np.pi / (n + 1))
     eigenvalues.setflags(write=False)
@@ -348,7 +350,7 @@ def solve_eigensystem(system: TridiagonalSystem, tol: float = DEFAULT_SOLVE_TOL)
     v *= np.where(v[lead, np.arange(system.n)] < 0, -1.0, 1.0)
 
     eig = EigenSystem(eigenvalues=eigenvalues, eigenvectors=v, constant_q=system.constant_q)
-    dev, rel = eig.validate(system, ortho_tol=1e-10, residual_tol=max(tol, 1e-15))
+    dev, rel = eig.validate(system, residual_tol=max(tol, 1e-15))
     return replace(eig, orthonormality_deviation=dev, relative_residual=rel)
 
 
@@ -368,6 +370,7 @@ class ErrorStudyRow:
 def discretization_error_study(q: float, n_list) -> list[ErrorStudyRow]:
     """Continuum-vs-discrete smallest-eigenvalue error for each grid size.
 
+    The discrete eigenvalue is the closed form of ``constant_eigensystem``.
     The scaled column error*(n+1)^2 tends to pi^4/12 for constant potentials.
     """
     ns = list(n_list)
@@ -376,10 +379,9 @@ def discretization_error_study(q: float, n_list) -> list[ErrorStudyRow]:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValidationError("n_list must be strictly ascending")
     lam_cont = continuum_eigenvalue(q)
-    spec = PotentialSpec.constant(q)
     rows = []
     for n in ns:
-        lam_disc = smallest_eigenvalue(build_matrix(spec, n))
+        lam_disc = float(_kinetic_eigenvalues(n, 1.0) + q)
         err = lam_cont - lam_disc
         rows.append(ErrorStudyRow(
             n=n,

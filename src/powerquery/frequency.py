@@ -10,7 +10,8 @@ cross-checks them by least-squares fitting.
 
 The coefficient table stores only the live eigencolumns of the schedule
 (`quantum.live_columns`); every other column is zero at every frequency.
-Outcome indices and the entry limit still count all n eigenvectors.
+Outcome indices and the entry limit, the constant ``DEFAULT_ENTRY_LIMIT``,
+still count all n eigenvectors.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 from .discretization import EigenSystem
 from .errors import (ConditioningError, NumericalError, SimulationLimitError,
                      ValidationError)
-from .quantum import (TARGET_EIGENBASIS, AlgorithmSchedule, RegisterLayout,
-                      StateVector, apply_power_query_array, apply_unitary_array,
-                      control_rows, live_columns, squared_norm)
+from .quantum import (AlgorithmSchedule, RegisterLayout, StateVector,
+                      apply_power_query_array, apply_unitary_array, control_rows,
+                      live_columns, squared_norm)
 
 DEFAULT_ENTRY_LIMIT = 2 ** 22
 PRUNE_TOL = 1e-15
@@ -46,10 +47,6 @@ class FrequencySet:
     powers: tuple[int, ...]
     m_set: tuple[int, ...]
     l_set: tuple[int, ...]
-
-    @property
-    def query_count(self) -> int:
-        return len(self.powers)
 
     @property
     def sharp(self) -> bool:
@@ -139,18 +136,17 @@ class TrigCoefficients:
         return self.table.transpose(1, 2, 0).reshape(-1, len(self.m_values))
 
 
-def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
-                 entry_limit: int = DEFAULT_ENTRY_LIMIT) -> TrigCoefficients:
+def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem) -> TrigCoefficients:
     """Propagate the frequency expansion through the whole schedule.
 
     A power query multiplies the control rows with the queried bit set by the
     eigenvector's unit phase factor and moves their coefficients up by its
     power; fixed unitaries mix coefficients within each frequency slice.  Both
     go through the state-vector simulator's kernels, on the live eigencolumns
-    only.  The entry limit counts all n eigencolumns.  Entries below
-    ``PRUNE_TOL`` in magnitude are zeroed after each unitary.  The
-    squared-coefficient sum must stay at 1 throughout; any drift beyond 1e-12
-    raises.
+    only.  The entry limit ``DEFAULT_ENTRY_LIMIT`` counts all n eigencolumns.
+    Entries below ``PRUNE_TOL`` in magnitude are zeroed after each unitary.
+    The squared-coefficient sum must stay at 1 throughout; any drift beyond
+    1e-12 raises.
     """
     if eig.constant_q is None:
         raise ValidationError(
@@ -162,24 +158,22 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
             f"eigensystem dimension {eig.n} does not match schedule target dimension "
             f"{layout.target_dim}"
         )
-    if schedule.initial_state.basis != TARGET_EIGENBASIS:
-        raise ValidationError("symbolic propagation requires an eigenbasis initial state")
 
     live = live_columns(schedule)
     kinetic = eig.kinetic_eigenvalues[live]
     m_values = np.zeros(1, dtype=np.int64)
     start = np.take(schedule.initial_state.amplitudes, live, axis=1).astype(complex)
-    table = apply_unitary_array(start[None], schedule.initial_unitary, TARGET_EIGENBASIS, eig)
+    table = apply_unitary_array(start[None], schedule.initial_unitary, eig)
     history = [squared_norm(table)]
 
     for step_index, step in enumerate(schedule.steps, start=1):
         p, bit = step.power, step.control_bit
         new_values = np.union1d(m_values, m_values + p)
         entries = new_values.size * layout.control_dim * layout.target_dim
-        if entries > entry_limit:
+        if entries > DEFAULT_ENTRY_LIMIT:
             raise SimulationLimitError(
                 f"step {step_index}: coefficient table of {entries} entries "
-                f"exceeds the limit of {entry_limit}"
+                f"exceeds the limit of {DEFAULT_ENTRY_LIMIT}"
             )
         shifted = np.zeros((new_values.size, layout.control_dim, live.size), dtype=complex)
         hold = np.searchsorted(new_values, m_values)
@@ -190,7 +184,7 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem,
         m_values, table = new_values, shifted
         history.append(squared_norm(table))
 
-        table = apply_unitary_array(table, step.unitary, TARGET_EIGENBASIS, eig)
+        table = apply_unitary_array(table, step.unitary, eig)
         table[np.abs(table) < PRUNE_TOL] = 0
         history.append(squared_norm(table))
 
@@ -265,8 +259,9 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
 
     Blocks are sets of flattened joint outcomes (control * n + eigenindex).
     The coefficient for block B at frequency l collects conj(c_m) * c_{m+l}
-    over the block's outcomes, computed by FFT autocorrelation along the
-    frequency axis for the stored outcomes only; the others contribute zero.
+    over the block's outcomes.  Autocorrelation is linear in the power
+    spectrum, so the stored outcomes' spectra are summed per block and each
+    block takes one inverse FFT; outcomes that are not stored contribute zero.
     """
     blocks = [np.asarray(sorted(block), dtype=int) for block in partition]
     total = coeffs.outcome_count
@@ -282,23 +277,24 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
             f"(missing {missing}, duplicated {doubled})"
         )
 
+    block_of = np.empty(total, dtype=int)
+    for b, block in enumerate(blocks):
+        block_of[block] = b
     m = np.asarray(coeffs.m_values)
     span = int(m.max() - m.min() + 1)
-    stored = coeffs.joint_table()
-    dense = np.zeros((stored.shape[0], span), dtype=complex)
-    dense[:, m - m.min()] = stored
     nfft = 2 * span
-    spectrum = np.abs(np.fft.fft(dense, nfft, axis=1)) ** 2
-    correlation = np.fft.ifft(spectrum, axis=1)
+    outcomes = coeffs.joint_outcomes()
+    dense = np.zeros((outcomes.size, span), dtype=complex)
+    dense[:, m - m.min()] = coeffs.joint_table()
+    spectrum = np.abs(np.fft.fft(dense, nfft, axis=1))
+    del dense
+    np.square(spectrum, out=spectrum)
+    power = np.zeros((len(blocks), nfft))
+    np.add.at(power, block_of[outcomes], spectrum)
+    del spectrum
 
     l_values = probability_frequencies(coeffs.powers)
-    cols = np.asarray(l_values) % nfft
-    row_of = np.full(total, -1)
-    row_of[coeffs.joint_outcomes()] = np.arange(stored.shape[0])
-    table = np.empty((len(blocks), len(l_values)), dtype=complex)
-    for b, block in enumerate(blocks):
-        rows = row_of[block]
-        table[b] = correlation[rows[rows >= 0]][:, cols].sum(axis=0)
+    table = np.fft.ifft(power, axis=1)[:, np.asarray(l_values) % nfft]
 
     sums = np.abs(table).sum(axis=0)
     if sums.max() > 1.0 + BLOCK_BOUND_TOL:
@@ -336,11 +332,6 @@ class FitResult:
     residual: float
     condition: float
     rank: int
-
-    def evaluate(self, q) -> np.ndarray:
-        qs = np.asarray(q, dtype=float)
-        basis = np.exp(0.5j * np.outer(qs, np.asarray(self.frequencies, dtype=float)))
-        return basis @ self.coefficients
 
 
 def fit_sample_grid(count: int = 1024) -> np.ndarray:

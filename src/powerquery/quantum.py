@@ -2,8 +2,9 @@
 
 States live on C^(2^c) (x) C^n with the target axis expressed in the
 eigenbasis of the discretized operator, so that a controlled power of the
-propagator is a single diagonal phase multiplication.  Conversion to the
-standard basis happens only when a measurement asks for it.
+propagator is a single diagonal phase multiplication.  This is the only state
+representation: the eigensystem rotates the target axis to the standard basis
+only inside a full-space unitary and a joint standard-basis measurement.
 
 Every fixed unitary except a full-space matrix acts on the control register
 alone, so a schedule never mixes eigencolumns: a column that starts at zero
@@ -18,7 +19,7 @@ estimation circuit and making the binary-fraction decoding a direct bit read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,9 +32,6 @@ NORM_TOL = 1e-12
 NORM_PIECE = 8192  # float64 values squared and summed at a time: 64 KiB
 UNITARY_TOL = 1e-10
 
-TARGET_EIGENBASIS = "target-eigenbasis"
-TARGET_STANDARD = "target-standard"
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -41,17 +39,16 @@ class RegisterLayout:
 
     control_qubits: int
     target_dim: int
-    amplitude_limit: int = DEFAULT_AMPLITUDE_LIMIT
 
     def __post_init__(self):
         if self.control_qubits < 0:
             raise ValidationError(f"control qubit count must be >= 0, got {self.control_qubits}")
         if self.target_dim < 1:
             raise ValidationError(f"target dimension must be >= 1, got {self.target_dim}")
-        if self.control_dim * self.target_dim > self.amplitude_limit:
+        if self.control_dim * self.target_dim > DEFAULT_AMPLITUDE_LIMIT:
             raise SimulationLimitError(
                 f"state of {self.control_dim * self.target_dim} amplitudes exceeds "
-                f"the limit of {self.amplitude_limit}"
+                f"the limit of {DEFAULT_AMPLITUDE_LIMIT}"
             )
 
     @property
@@ -79,11 +76,10 @@ def _check_norm(amplitudes: np.ndarray):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Amplitudes indexed by (control index, target index), unit norm."""
+    """Amplitudes indexed by (control index, eigen index), unit norm."""
 
     layout: RegisterLayout
     amplitudes: np.ndarray  # shape (2^c, n), complex
-    basis: str = TARGET_EIGENBASIS
 
     def __post_init__(self):
         expected = (self.layout.control_dim, self.layout.target_dim)
@@ -91,13 +87,7 @@ class StateVector:
             raise ValidationError(
                 f"amplitude array shape {self.amplitudes.shape} does not match layout {expected}"
             )
-        if self.basis not in (TARGET_EIGENBASIS, TARGET_STANDARD):
-            raise ValidationError(f"unknown basis tag {self.basis!r}")
         _check_norm(self.amplitudes)
-
-    def _replace_amplitudes(self, amplitudes: np.ndarray, basis: str | None = None) -> "StateVector":
-        return StateVector(layout=self.layout, amplitudes=amplitudes,
-                           basis=self.basis if basis is None else basis)
 
     def debug_dump(self) -> dict:
         """Layout header plus amplitudes as [re, im] pairs, for JSON debugging."""
@@ -105,12 +95,11 @@ class StateVector:
         return {
             "control_qubits": self.layout.control_qubits,
             "target_dim": self.layout.target_dim,
-            "basis": self.basis,
             "amplitudes": [[float(a.real), float(a.imag)] for a in flat],
         }
 
 
-def init_state(layout: RegisterLayout, target_amplitudes, basis: str = TARGET_EIGENBASIS) -> StateVector:
+def init_state(layout: RegisterLayout, target_amplitudes) -> StateVector:
     """All-zeros control register tensored with the given target amplitudes."""
     target = np.asarray(target_amplitudes, dtype=complex)
     if target.shape != (layout.target_dim,):
@@ -122,7 +111,7 @@ def init_state(layout: RegisterLayout, target_amplitudes, basis: str = TARGET_EI
         raise ValidationError(f"target amplitudes have norm {norm!r}, expected 1 within 1e-10")
     amp = np.zeros((layout.control_dim, layout.target_dim), dtype=complex)
     amp[0, :] = target
-    return StateVector(layout=layout, amplitudes=amp, basis=basis)
+    return StateVector(layout=layout, amplitudes=amp)
 
 
 # --------------------------------------------------------------------------
@@ -216,16 +205,8 @@ class AlgorithmSchedule:
                 raise ValidationError(f"step {j}: power must be >= 1, got {step.power}")
 
     @property
-    def query_count(self) -> int:
-        return len(self.steps)
-
-    @property
     def powers(self) -> tuple[int, ...]:
         return tuple(step.power for step in self.steps)
-
-    @property
-    def final_unitary(self) -> UnitarySpec:
-        return self.steps[-1].unitary if self.steps else self.initial_unitary
 
 
 # --------------------------------------------------------------------------
@@ -256,18 +237,9 @@ def apply_power_query_array(amplitudes: np.ndarray, control_bit: int, power: int
     rows *= np.exp(0.5j * power * eigenvalues)
 
 
-def _require_eigenbasis(basis: str):
-    if basis != TARGET_EIGENBASIS:
-        raise ValidationError(
-            "power queries require the target axis in the eigenbasis; "
-            f"state is tagged {basis!r}"
-        )
-
-
 def apply_power_query(state: StateVector, control_bit: int, power: int,
                       eig: EigenSystem) -> StateVector:
     """Multiply amplitudes with control bit set by exp(i * power * eigenvalue_s / 2)."""
-    _require_eigenbasis(state.basis)
     if power < 1:
         raise ValidationError(f"power must be >= 1, got {power}")
     layout = state.layout
@@ -277,7 +249,7 @@ def apply_power_query(state: StateVector, control_bit: int, power: int,
         )
     amp = state.amplitudes.copy()
     apply_power_query_array(amp, control_bit, power, eig.eigenvalues)
-    return state._replace_amplitudes(amp)
+    return replace(state, amplitudes=amp)
 
 
 def _walsh_hadamard_rows(amplitudes: np.ndarray) -> np.ndarray:
@@ -314,18 +286,18 @@ def apply_inverse_qft(state: StateVector, first_bit: int = 1,
         last_bit = c
     if not (1 <= first_bit <= last_bit <= c):
         raise ValidationError(f"bit range {first_bit}..{last_bit} outside register of {c} qubits")
-    return state._replace_amplitudes(_inverse_qft_rows(state.amplitudes, first_bit, last_bit))
+    return replace(state, amplitudes=_inverse_qft_rows(state.amplitudes, first_bit, last_bit))
 
 
-def apply_unitary_array(amplitudes: np.ndarray, spec: UnitarySpec, basis: str,
+def apply_unitary_array(amplitudes: np.ndarray, spec: UnitarySpec,
                         eig: EigenSystem | None) -> np.ndarray:
     """Apply a fixed unitary to amplitudes of shape (..., 2^c, n).
 
     Leading axes hold independent copies of the register, such as the
     frequency slices of a symbolic coefficient table.  The identity returns
     `amplitudes` itself; every other kind returns a new array.  Full-space
-    matrices act in the standard basis; an eigensystem is required to
-    conjugate them when the target axis is in the eigenbasis.
+    matrices act in the standard basis, so they need the eigensystem to
+    conjugate them into the eigenbasis.
     """
     *lead, rows, cols = amplitudes.shape
     if spec.kind == UnitarySpec.IDENTITY:
@@ -348,38 +320,31 @@ def apply_unitary_array(amplitudes: np.ndarray, spec: UnitarySpec, basis: str,
                 f"full-space matrix of dimension {spec.matrix.shape[0]} does not match "
                 f"state dimension {dim}"
             )
-        eigenbasis = basis == TARGET_EIGENBASIS
-        if eigenbasis:
-            if eig is None:
-                raise ValidationError(
-                    "full-space unitaries on eigenbasis states need the eigensystem"
-                )
-            amplitudes = amplitudes @ eig.eigenvectors.T
-        out = (amplitudes.reshape(*lead, dim) @ spec.matrix.T).reshape(amplitudes.shape)
-        return out @ eig.eigenvectors if eigenbasis else out
+        if eig is None:
+            raise ValidationError("full-space unitaries need the eigensystem")
+        standard = amplitudes @ eig.eigenvectors.T
+        out = (standard.reshape(*lead, dim) @ spec.matrix.T).reshape(amplitudes.shape)
+        return out @ eig.eigenvectors
     raise ValidationError(f"unknown unitary kind {spec.kind!r}")
 
 
 def apply_unitary(state: StateVector, spec: UnitarySpec,
                   eig: EigenSystem | None = None) -> StateVector:
     """Apply a fixed unitary: named gate, control matrix (x) identity, or full matrix."""
-    amp = apply_unitary_array(state.amplitudes, spec, state.basis, eig)
-    return state if amp is state.amplitudes else state._replace_amplitudes(amp)
+    amp = apply_unitary_array(state.amplitudes, spec, eig)
+    return state if amp is state.amplitudes else replace(state, amplitudes=amp)
 
 
 def live_columns(schedule: AlgorithmSchedule) -> np.ndarray:
     """Ascending eigen indices of the target columns the schedule can change.
 
     These are the non-zero columns of the initial state.  A full-space
-    unitary couples the columns, and a standard-basis start has no eigen
-    columns, so either makes every column live.
+    unitary couples the columns, so it makes every column live.
     """
-    start = schedule.initial_state
     unitaries = (schedule.initial_unitary,) + tuple(step.unitary for step in schedule.steps)
-    if start.basis != TARGET_EIGENBASIS or any(u.kind == UnitarySpec.FULL_DENSE
-                                               for u in unitaries):
+    if any(u.kind == UnitarySpec.FULL_DENSE for u in unitaries):
         return np.arange(schedule.layout.target_dim)
-    return np.flatnonzero(np.any(start.amplitudes != 0, axis=0))
+    return np.flatnonzero(np.any(schedule.initial_state.amplitudes != 0, axis=0))
 
 
 def run_schedule(schedule: AlgorithmSchedule, eig: EigenSystem) -> StateVector:
@@ -396,12 +361,10 @@ def run_schedule(schedule: AlgorithmSchedule, eig: EigenSystem) -> StateVector:
             f"eigensystem dimension {eig.n} does not match schedule target dimension "
             f"{layout.target_dim}"
         )
-    if schedule.steps:
-        _require_eigenbasis(start.basis)
     live = live_columns(schedule)
     whole = live.size == layout.target_dim
     cols = start.amplitudes if whole else np.take(start.amplitudes, live, axis=1)
-    amp = apply_unitary_array(cols, schedule.initial_unitary, start.basis, eig)
+    amp = apply_unitary_array(cols, schedule.initial_unitary, eig)
     if amp is start.amplitudes:
         amp = amp.copy()
     eigenvalues = eig.eigenvalues[live]
@@ -412,7 +375,7 @@ def run_schedule(schedule: AlgorithmSchedule, eig: EigenSystem) -> StateVector:
         if unchecked:
             _check_norm(amp)
         apply_power_query_array(amp, step.control_bit, step.power, eigenvalues)
-        mixed = apply_unitary_array(amp, step.unitary, start.basis, eig)
+        mixed = apply_unitary_array(amp, step.unitary, eig)
         if mixed is not amp:
             _check_norm(amp)
             amp = mixed
@@ -421,7 +384,7 @@ def run_schedule(schedule: AlgorithmSchedule, eig: EigenSystem) -> StateVector:
         full = np.zeros((layout.control_dim, layout.target_dim), dtype=complex)
         full[:, live] = amp
         amp = full
-    return StateVector(layout=layout, amplitudes=amp, basis=start.basis)
+    return StateVector(layout=layout, amplitudes=amp)
 
 
 # --------------------------------------------------------------------------
@@ -434,11 +397,9 @@ JOINT_STANDARD = "joint-standard-basis"
 
 @dataclass(frozen=True)
 class MeasurementDistribution:
-    """Exact outcome probabilities with integer outcome labels."""
+    """Exact outcome probabilities; outcome i has probability ``probabilities[i]``."""
 
     probabilities: np.ndarray
-    labels: np.ndarray
-    scope: str
 
     def __post_init__(self):
         if np.any(self.probabilities < -1e-12):
@@ -448,10 +409,10 @@ class MeasurementDistribution:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1 within 1e-10")
 
     def dump_csv(self) -> str:
-        """Two-column dump: outcome label and probability at full precision."""
+        """Two-column dump: outcome index and probability at full precision."""
         lines = ["outcome,probability"]
-        for label, p in zip(self.labels, self.probabilities):
-            lines.append(f"{int(label)},{format(float(p), '.17g')}")
+        for outcome, p in enumerate(self.probabilities):
+            lines.append(f"{outcome},{format(float(p), '.17g')}")
         return "\n".join(lines) + "\n"
 
 
@@ -467,17 +428,13 @@ def measurement_distribution(state: StateVector, scope: str = CONTROL_ONLY,
     if scope == CONTROL_ONLY:
         probs = np.abs(amp) ** 2
         probs = probs.sum(axis=1)
-        labels = np.arange(state.layout.control_dim)
     elif scope == JOINT_STANDARD:
-        if state.basis == TARGET_EIGENBASIS:
-            if eig is None:
-                raise ValidationError("joint standard-basis measurement needs the eigensystem")
-            amp = amp @ eig.eigenvectors.T
-        probs = (np.abs(amp) ** 2).reshape(-1)
-        labels = np.arange(probs.size)
+        if eig is None:
+            raise ValidationError("joint standard-basis measurement needs the eigensystem")
+        probs = (np.abs(amp @ eig.eigenvectors.T) ** 2).reshape(-1)
     else:
         raise ValidationError(f"unknown measurement scope {scope!r}")
-    return MeasurementDistribution(probabilities=probs, labels=labels, scope=scope)
+    return MeasurementDistribution(probabilities=probs)
 
 
 def _splitmix64_uniform(seed: int, count: int) -> np.ndarray:
@@ -495,11 +452,11 @@ def _splitmix64_uniform(seed: int, count: int) -> np.ndarray:
 
 
 def sample_outcomes(dist: MeasurementDistribution, count: int, seed: int) -> np.ndarray:
-    """Deterministic i.i.d. outcome labels drawn from the distribution."""
+    """Deterministic i.i.d. outcome indices drawn from the distribution."""
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
     u = _splitmix64_uniform(seed, count)
     edges = np.cumsum(dist.probabilities)
     edges[-1] = max(edges[-1], 1.0)
     idx = np.searchsorted(edges, u, side="right")
-    return dist.labels[np.minimum(idx, dist.labels.size - 1)]
+    return np.minimum(idx, dist.probabilities.size - 1)

@@ -248,6 +248,26 @@ class TestErrorStudy:
             for row in rows:
                 assert 7.9 <= row.scaled_error <= 8.35
 
+    def test_scaled_error_matches_two_term_expansion_at_n1024(self):
+        # 4 m^2 sin^2(pi/2m) = pi^2 - pi^4/(12 m^2) + pi^6/(360 m^4) - ..., m = n+1
+        n = 1024
+        row = discretization_error_study(0.0, [n])[0]
+        expected = math.pi ** 4 / 12 - math.pi ** 6 / (360 * (n + 1) ** 2)
+        assert abs(row.scaled_error - expected) <= 1e-6
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_agrees_with_bisection(self, q):
+        rows = discretization_error_study(q, [1, 2, 16, 128])
+        for row in rows:
+            abs_tol = 1e-13 * (row.n + 1) ** 2
+            reference = smallest_eigenvalue(build_matrix(PotentialSpec.constant(q), row.n),
+                                            abs_tol=abs_tol)
+            assert abs(row.lambda_discrete - reference) <= abs_tol
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValidationError, match="grid size"):
+            discretization_error_study(0.0, [0, 4])
+
     def test_rejects_unordered_list(self):
         with pytest.raises(ValidationError):
             discretization_error_study(0.0, [16, 8])

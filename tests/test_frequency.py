@@ -26,6 +26,7 @@ from powerquery import (
     run_schedule,
     symbolic_run,
 )
+from powerquery import frequency
 
 
 def brute_force_m_set(powers):
@@ -211,10 +212,11 @@ class TestSymbolicRun:
         assert np.abs(stored - coeffs.table.sum(axis=0)).max() < 1e-12
         assert not np.any(np.delete(state.amplitudes, coeffs.columns, axis=1))
 
-    def test_entry_limit(self):
+    def test_entry_limit(self, monkeypatch):
+        monkeypatch.setattr(frequency, "DEFAULT_ENTRY_LIMIT", 100)
         schedule = build_pe_schedule(5, 4)
         with pytest.raises(SimulationLimitError, match="step"):
-            symbolic_run(schedule, constant_eigensystem(0.0, 4), entry_limit=100)
+            symbolic_run(schedule, constant_eigensystem(0.0, 4))
 
     def test_evaluation_range_check(self):
         schedule = build_pe_schedule(2, 2)
@@ -317,6 +319,29 @@ class TestBetaCoefficients:
                 reference = beta_coefficients(full, blocks)
                 assert stored.l_values == reference.l_values
                 assert np.abs(stored.table - reference.table).max() <= 1e-15
+
+    @pytest.mark.parametrize("target", [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.8],
+                                        [0.5, -0.5, 0.5j, 0.5]])
+    def test_matches_brute_force_autocorrelation(self, target):
+        # sum over the block's outcomes o and frequencies m of conj(c_{o,m}) c_{o,m+l}
+        rng = np.random.RandomState(46)
+        coeffs = symbolic_run(build_pe_schedule(4, 4, initial_target=target),
+                              constant_eigensystem(0.0, 4))
+        index = {m: i for i, m in enumerate(coeffs.m_values)}
+        c = np.zeros((coeffs.outcome_count, len(coeffs.m_values)), dtype=complex)
+        for (k, s, m), value in coeffs.entries().items():
+            c[k * coeffs.target_dim + s - 1, index[m]] = value
+        for _ in range(5):
+            count = rng.randint(1, 6)
+            assignment = rng.randint(0, count, size=coeffs.outcome_count)
+            blocks = [b for b in (np.nonzero(assignment == b)[0] for b in range(count))
+                      if b.size]
+            betas = beta_coefficients(coeffs, blocks)
+            for b, block in enumerate(blocks):
+                for i, l in enumerate(betas.l_values):
+                    brute = sum(np.vdot(c[block, index[m]], c[block, index[m + l]])
+                                for m in coeffs.m_values if m + l in index)
+                    assert abs(betas.table[b, i] - brute) <= 1e-14
 
     def test_conjugate_symmetry(self):
         betas = beta_coefficients(self.coeffs, [range(self.total)])

@@ -18,9 +18,8 @@ from powerquery import (
     run_schedule,
     sample_outcomes,
 )
-from powerquery.quantum import (TARGET_EIGENBASIS, TARGET_STANDARD, StateVector,
-                                apply_unitary_array, control_rows, live_columns,
-                                squared_norm)
+from powerquery.quantum import (StateVector, apply_unitary_array, control_rows,
+                                live_columns, squared_norm)
 
 
 def random_unitary(dim, rng):
@@ -159,12 +158,6 @@ class TestPowerQuery:
         twice = apply_power_query(apply_power_query(state, 1, 1, eig), 1, 1, eig)
         assert np.abs(once.amplitudes - twice.amplitudes).max() < 1e-12
 
-    def test_rejects_standard_basis(self):
-        layout = RegisterLayout(control_qubits=1, target_dim=2)
-        state = init_state(layout, [1, 0], basis=TARGET_STANDARD)
-        with pytest.raises(ValidationError, match="eigenbasis"):
-            apply_power_query(state, 1, 1, constant_eigensystem(0.0, 2))
-
     def test_commutes_with_bit_diagonal_control_unitary(self):
         # a control unitary that never mixes the queried bit's branches
         rng = np.random.RandomState(5)
@@ -296,10 +289,10 @@ class TestUnitaryKernelOnStacks:
             "full-dense": UnitarySpec.full_dense(random_unitary((1 << c) * n, rng)),
         }[kind]
         stack = rng.standard_normal((m, 1 << c, n)) + 1j * rng.standard_normal((m, 1 << c, n))
-        out = apply_unitary_array(stack, spec, TARGET_EIGENBASIS, eig)
+        out = apply_unitary_array(stack, spec, eig)
         assert out.shape == stack.shape
         for i in range(m):
-            alone = apply_unitary_array(stack[i], spec, TARGET_EIGENBASIS, eig)
+            alone = apply_unitary_array(stack[i], spec, eig)
             assert np.abs(out[i] - alone).max() < 1e-14
 
 
@@ -364,14 +357,6 @@ class TestLiveColumns:
             schedule, _ = random_sparse_schedule(rng, full_dense=True)
             assert np.array_equal(live_columns(schedule), np.arange(schedule.layout.target_dim))
 
-    def test_standard_basis_start_makes_every_column_live(self):
-        layout = RegisterLayout(control_qubits=1, target_dim=3)
-        schedule = AlgorithmSchedule(layout=layout,
-                                     initial_state=init_state(layout, [0, 1, 0],
-                                                              basis=TARGET_STANDARD),
-                                     initial_unitary=UnitarySpec.hadamard_layer(), steps=())
-        assert np.array_equal(live_columns(schedule), [0, 1, 2])
-
     @pytest.mark.parametrize("full_dense", [False, True])
     def test_run_schedule_matches_step_by_step(self, full_dense):
         rng = np.random.RandomState(14 + full_dense)
@@ -387,15 +372,6 @@ class TestLiveColumns:
             assert out.amplitudes.shape == ref.amplitudes.shape
             assert np.abs(out.amplitudes - ref.amplitudes).max() <= 1e-12
             assert np.array_equal(schedule.initial_state.amplitudes, start)
-
-    def test_run_schedule_rejects_standard_basis_start(self):
-        layout = RegisterLayout(control_qubits=1, target_dim=2)
-        schedule = AlgorithmSchedule(
-            layout=layout, initial_state=init_state(layout, [1, 0], basis=TARGET_STANDARD),
-            initial_unitary=UnitarySpec.identity(),
-            steps=(QueryStep(control_bit=1, power=1, unitary=UnitarySpec.identity()),))
-        with pytest.raises(ValidationError, match="eigenbasis"):
-            run_schedule(schedule, constant_eigensystem(0.0, 2))
 
 
 class TestMeasurement:
