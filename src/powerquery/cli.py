@@ -25,7 +25,7 @@ from .phase_estimation import (MODE_EXACT, MODE_PERTURBED, PEConfig,
                                build_pe_schedule, default_q_grid,
                                run_phase_estimation, worst_case_error_sweep)
 from .quantum import sample_outcomes
-from .reports import PhaseTimer, RunReport, emit_report, render_csv
+from .reports import PhaseTimer, RunReport, Table, emit_report, render_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -174,18 +174,13 @@ def _cmd_discretize(args, config) -> RunReport:
         n_list = _parse_int_list(n_list_text)
         rows = discretization_error_study(potential.value, n_list)
         timer.lap("compute")
+        header = ["n", "lambda_continuum", "lambda_discrete", "error", "scaled_error"]
+        table = Table(header, [[getattr(r, name) for r in rows] for name in header])
         return RunReport(
             command="discretize",
             config={"q": potential_text, "n_list": n_list},
-            results={"rows": [
-                {"n": r.n, "lambda_continuum": r.lambda_continuum,
-                 "lambda_discrete": r.lambda_discrete, "error": r.error,
-                 "scaled_error": r.scaled_error}
-                for r in rows
-            ]},
-            csv_header=["n", "lambda_continuum", "lambda_discrete", "error", "scaled_error"],
-            csv_rows=[[r.n, r.lambda_continuum, r.lambda_discrete, r.error, r.scaled_error]
-                      for r in rows],
+            results={"rows": table},
+            csv=table,
             timings=timer.timings,
         )
     n = _resolve(args, config, "n", required=True, cast=int)
@@ -195,8 +190,8 @@ def _cmd_discretize(args, config) -> RunReport:
         command="discretize",
         config={"q": potential_text, "n": n},
         results={"n": n, "diag": list(system.diag), "offdiag": system.offdiag},
-        csv_header=["j", "diag", "offdiag"],
-        csv_rows=[[j + 1, system.diag[j], system.offdiag] for j in range(n)],
+        csv=Table(["j", "diag", "offdiag"],
+                  [np.arange(1, n + 1), system.diag, np.full(n, system.offdiag)]),
         timings=timer.timings,
     )
 
@@ -225,8 +220,7 @@ def _cmd_eigensolve(args, config) -> RunReport:
         command="eigensolve",
         config={"q": potential_text, "n": n, "tol": tol},
         results=results,
-        csv_header=["s", "eigenvalue"],
-        csv_rows=[[s + 1, eig.eigenvalues[s]] for s in range(n)],
+        csv=Table(["s", "eigenvalue"], [np.arange(1, n + 1), eig.eigenvalues]),
         timings=timer.timings,
     )
 
@@ -260,39 +254,28 @@ def _cmd_phase_estimate(args, config) -> RunReport:
     timer.lap("setup")
     result = run_phase_estimation(cfg)
     probs = result.distribution.probabilities
-    counts = np.zeros(probs.size, dtype=int)
-    drawn = []
-    if samples > 0:
-        drawn = sample_outcomes(result.distribution, samples, seed)
-        counts = np.bincount(drawn, minlength=probs.size)
-    timer.lap("compute")
-    outcome_rows = [
-        {"outcome": int(k), "lambda_estimate": float(result.lambda_estimates[k]),
-         "probability": float(probs[k])}
-        for k in range(probs.size)
-    ]
+    outcomes = Table(["outcome", "lambda_estimate", "probability"],
+                     [np.arange(probs.size), result.lambda_estimates, probs])
     results = {
         "lambda_true": result.lambda_true,
         "phase": result.phase,
         "epsilon": epsilon,
         "success_probability": result.success_probability,
-        "outcomes": outcome_rows,
+        "outcomes": outcomes,
     }
+    csv = outcomes
     if samples > 0:
-        results["samples"] = [int(v) for v in drawn]
-    header = ["outcome", "lambda_estimate", "probability"]
-    rows = [[k, result.lambda_estimates[k], probs[k]] for k in range(probs.size)]
-    if samples > 0:
-        header.append("sample_count")
-        for k in range(probs.size):
-            rows[k].append(int(counts[k]))
+        drawn = sample_outcomes(result.distribution, samples, seed)
+        results["samples"] = drawn
+        csv = Table(outcomes.header + ["sample_count"],
+                    outcomes.columns + [np.bincount(drawn, minlength=probs.size)])
+    timer.lap("compute")
     return RunReport(
         command="phase-estimate",
         config={"q": potential_text, "n": n, "T": queries, "epsilon": epsilon,
                 "mode": mode_text, "seed": seed, "samples": samples},
         results=results,
-        csv_header=header,
-        csv_rows=rows,
+        csv=csv,
         timings=timer.timings,
     )
 
@@ -319,17 +302,15 @@ def _cmd_error_sweep(args, config) -> RunReport:
     rows = []
     for queries in range(lo, hi + 1):
         report = worst_case_error_sweep(queries, n, q_values, threshold)
-        rows.append([queries, report.epsilon_achieved, report.success_probability_min])
+        rows.append((queries, report.epsilon_achieved, report.success_probability_min))
         print(f"progress error-sweep T={queries} done", file=sys.stderr)
     timer.lap("compute")
+    table = Table(["T", "epsilon_achieved", "min_success_prob"], list(zip(*rows)))
     return RunReport(
         command="error-sweep",
         config={"T_range": [lo, hi], "n": n, "grid": grid, "threshold": threshold},
-        results={"rows": [
-            {"T": r[0], "epsilon_achieved": r[1], "min_success_prob": r[2]} for r in rows
-        ]},
-        csv_header=["T", "epsilon_achieved", "min_success_prob"],
-        csv_rows=rows,
+        results={"rows": table},
+        csv=table,
         timings=timer.timings,
     )
 
@@ -356,10 +337,8 @@ def _cmd_freq_audit(args, config) -> RunReport:
         n = _resolve(args, config, "n", required=True, cast=int)
         schedule = build_pe_schedule(pe_queries, n)
         coeffs = symbolic_run(schedule, constant_eigensystem(0.0, n))
-        rows = sorted([k, s, m, value.real, value.imag]
-                      for (k, s, m), value in coeffs.entries().items())
         with open(dump_path, "w", newline="") as fh:
-            fh.write(render_csv(["k", "s", "m", "re", "im"], rows))
+            fh.write(render_csv(_coefficient_table(coeffs)))
         timer.lap("dump")
 
     t = len(fs.powers)
@@ -375,11 +354,23 @@ def _cmd_freq_audit(args, config) -> RunReport:
             "l_cardinality_bound": 3 ** t,
             "sharp": fs.sharp,
         },
-        csv_header=["set", "index", "value"],
-        csv_rows=([["m", i, v] for i, v in enumerate(fs.m_set)]
-                  + [["l", i, v] for i, v in enumerate(fs.l_set)]),
+        csv=Table(["set", "index", "value"],
+                  [["m"] * len(fs.m_set) + ["l"] * len(fs.l_set),
+                   [*range(len(fs.m_set)), *range(len(fs.l_set))],
+                   np.array(fs.m_set + fs.l_set, dtype=object)]),  # Python ints, past 2^63 too
         timings=timer.timings,
     )
+
+
+def _coefficient_table(coeffs) -> Table:
+    """Non-zero symbolic coefficients as rows (k, s, m, re, im), sorted by (k, s, m)."""
+    mi, k, j = np.nonzero(coeffs.table)
+    s = np.asarray(coeffs.columns)[j] + 1
+    m = np.asarray(coeffs.m_values)[mi]
+    order = np.lexsort((m, s, k))
+    values = coeffs.table[mi, k, j][order]
+    return Table(["k", "s", "m", "re", "im"],
+                 [k[order], s[order], m[order], values.real, values.imag])
 
 
 def _cmd_lowerbound_audit(args, config) -> RunReport:
@@ -404,9 +395,6 @@ def _cmd_lowerbound_audit(args, config) -> RunReport:
         lambda_map=lambda_map,
     )
     timer.lap("compute")
-    dft = None
-    if audit.dft_values is not None:
-        dft = [[[v.real, v.imag] for v in row] for row in audit.dft_values]
     results = {
         "grid_size": audit.grid_size,
         "epsilon": audit.epsilon,
@@ -425,7 +413,7 @@ def _cmd_lowerbound_audit(args, config) -> RunReport:
         "stray_mass": list(audit.stray_mass),
         "projected_frequencies": list(audit.projected),
         "dft_deviation": audit.dft_deviation,
-        "dft": dft,
+        "dft": audit.dft_values,
     }
     report = RunReport(
         command="lowerbound-audit",

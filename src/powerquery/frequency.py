@@ -34,6 +34,7 @@ BLOCK_BOUND_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 BASIS_PERIOD = 4.0 * np.pi  # every basis function exp(i l q / 2) has this period in q
 BRUTE_FORCE_PAIR_LIMIT = 2 ** 22
+BETA_PIECE_BYTES = 16 * 2 ** 20  # complex FFT rows beta_coefficients makes at a time
 
 
 # --------------------------------------------------------------------------
@@ -232,19 +233,10 @@ class BetaCoefficients:
 
     l_values: tuple[int, ...]
     table: np.ndarray  # complex, shape (num_blocks, len(l_values))
-    block_sizes: tuple[int, ...]
 
     @property
     def block_count(self) -> int:
         return int(self.table.shape[0])
-
-    def entries(self, tol: float = 0.0) -> dict:
-        out = {}
-        for b in range(self.block_count):
-            for i, l in enumerate(self.l_values):
-                if abs(self.table[b, i]) > tol:
-                    out[(b, l)] = complex(self.table[b, i])
-        return out
 
     def block_probability(self, block: int, q) -> np.ndarray | float:
         """Probability of the block as a function of the potential value."""
@@ -262,6 +254,7 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
     over the block's outcomes.  Autocorrelation is linear in the power
     spectrum, so the stored outcomes' spectra are summed per block and each
     block takes one inverse FFT; outcomes that are not stored contribute zero.
+    The spectra are made for as many rows at a time as fit ``BETA_PIECE_BYTES``.
     """
     blocks = [np.asarray(sorted(block), dtype=int) for block in partition]
     total = coeffs.outcome_count
@@ -284,14 +277,15 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
     span = int(m.max() - m.min() + 1)
     nfft = 2 * span
     outcomes = coeffs.joint_outcomes()
-    dense = np.zeros((outcomes.size, span), dtype=complex)
-    dense[:, m - m.min()] = coeffs.joint_table()
-    spectrum = np.abs(np.fft.fft(dense, nfft, axis=1))
-    del dense
-    np.square(spectrum, out=spectrum)
+    joint = coeffs.joint_table()
+    piece = max(1, BETA_PIECE_BYTES // (16 * nfft))
     power = np.zeros((len(blocks), nfft))
-    np.add.at(power, block_of[outcomes], spectrum)
-    del spectrum
+    for start in range(0, outcomes.size, piece):
+        rows = joint[start:start + piece]
+        dense = np.zeros((len(rows), span), dtype=complex)
+        dense[:, m - m.min()] = rows
+        spectrum = np.abs(np.fft.fft(dense, nfft, axis=1)) ** 2
+        np.add.at(power, block_of[outcomes[start:start + piece]], spectrum)
 
     l_values = probability_frequencies(coeffs.powers)
     table = np.fft.ifft(power, axis=1)[:, np.asarray(l_values) % nfft]
@@ -307,8 +301,7 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
     mirror = [flipped[-l] for l in l_values]
     if np.abs(table - np.conj(table[:, mirror])).max() > BLOCK_BOUND_TOL:
         raise NumericalError("block coefficients are not conjugate-symmetric in frequency")
-    return BetaCoefficients(l_values=l_values, table=table,
-                            block_sizes=tuple(len(b) for b in blocks))
+    return BetaCoefficients(l_values=l_values, table=table)
 
 
 def control_partition(coeffs: TrigCoefficients, control_blocks) -> list[np.ndarray]:

@@ -163,18 +163,18 @@ class GapAudit:
 
 
 def lower_bound_audit(schedule: AlgorithmSchedule, eig_family, epsilon: float,
-                      decoder=None, lambda_map: str = LAMBDA_MAP_DISCRETE) -> GapAudit:
+                      lambda_map: str = LAMBDA_MAP_DISCRETE) -> GapAudit:
     """Run the full audit for a schedule against a constant-potential family.
 
-    ``eig_family`` maps a constant potential value to its eigensystem.  The
+    ``eig_family`` maps a constant potential value to its eigensystem, and
+    ``schedule.decoder.decode_all()`` gives every outcome's estimate.  The
     per-grid-point target eigenvalue is the family's smallest eigenvalue by
     default, or the continuum value with ``lambda_map='continuum'``.  If the
     schedule does not reach success 3/4 at the requested accuracy on every
     grid point, a premise-failed record is returned and the Fourier half of
     the audit is skipped.
     """
-    decoder = schedule.decoder if decoder is None else decoder
-    if decoder is None:
+    if schedule.decoder is None:
         raise ValidationError("the audit needs an outcome decoder")
     if lambda_map not in (LAMBDA_MAP_DISCRETE, LAMBDA_MAP_CONTINUUM):
         raise ValidationError(f"unknown eigenvalue map {lambda_map!r}")
@@ -187,7 +187,7 @@ def lower_bound_audit(schedule: AlgorithmSchedule, eig_family, epsilon: float,
     else:
         targets = math.pi ** 2 + x_points
 
-    estimates = decoder.decode_all()
+    estimates = schedule.decoder.decode_all()
     answer_sets = [np.nonzero(np.abs(targets[r] - estimates) <= epsilon)[0]
                    for r in range(n_grid)]
     membership = np.zeros((n_grid, estimates.size))

@@ -43,21 +43,13 @@ def decode_eigenvalue(phi: float) -> float:
 
 @dataclass(frozen=True)
 class OutcomeDecoder:
-    """Maps a measured control outcome to an eigenvalue estimate."""
+    """Maps every control outcome k to its eigenvalue estimate 4 pi k / 2^T."""
 
     queries: int
-    lambda_map: object | None = None  # callable outcome -> eigenvalue; None = binary fraction
-
-    def decode(self, outcome: int) -> float:
-        if self.lambda_map is not None:
-            return float(self.lambda_map(outcome))
-        return decode_eigenvalue(decode_phase(outcome, self.queries))
 
     def decode_all(self) -> np.ndarray:
         size = 1 << self.queries
-        if self.lambda_map is None:
-            return FOUR_PI * (np.arange(size) / size)
-        return np.array([self.decode(k) for k in range(size)])
+        return FOUR_PI * (np.arange(size) / size)
 
 
 @dataclass(frozen=True)

@@ -89,15 +89,6 @@ class StateVector:
             )
         _check_norm(self.amplitudes)
 
-    def debug_dump(self) -> dict:
-        """Layout header plus amplitudes as [re, im] pairs, for JSON debugging."""
-        flat = self.amplitudes.reshape(-1)
-        return {
-            "control_qubits": self.layout.control_qubits,
-            "target_dim": self.layout.target_dim,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in flat],
-        }
-
 
 def init_state(layout: RegisterLayout, target_amplitudes) -> StateVector:
     """All-zeros control register tensored with the given target amplitudes."""
@@ -184,8 +175,8 @@ class AlgorithmSchedule:
 
     Running the schedule applies ``initial_unitary`` to ``initial_state`` and
     then, for each step j, the controlled power (bit l_j, power p_j) followed
-    by that step's unitary.  ``decoder`` maps a measured control outcome to an
-    eigenvalue estimate and may be None for schedules that are not decoded.
+    by that step's unitary.  ``decoder.decode_all()`` gives every control
+    outcome's eigenvalue estimate; it is None for schedules that are not decoded.
     """
 
     layout: RegisterLayout
@@ -407,13 +398,6 @@ class MeasurementDistribution:
         total = float(self.probabilities.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1 within 1e-10")
-
-    def dump_csv(self) -> str:
-        """Two-column dump: outcome index and probability at full precision."""
-        lines = ["outcome,probability"]
-        for outcome, p in enumerate(self.probabilities):
-            lines.append(f"{outcome},{format(float(p), '.17g')}")
-        return "\n".join(lines) + "\n"
 
 
 def measurement_distribution(state: StateVector, scope: str = CONTROL_ONLY,

@@ -3,6 +3,9 @@
 Floats are always written with 17 significant digits so that payloads round
 trip losslessly and identical runs produce identical bytes.  Dictionaries are
 rendered in insertion order; no timestamps or timings ever enter a payload.
+
+Row-shaped results are one `Table` of columns, shared by both formats and
+rendered row by row through one template built from the column dtypes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,23 @@ from .errors import ValidationError
 __version__ = "0.1.0"
 
 
+@dataclass
+class Table:
+    """A row-shaped result held as columns, one 1-D array per header name."""
+
+    header: list[str]
+    columns: list[np.ndarray]
+
+    def __post_init__(self):
+        self.columns = [np.asarray(column) for column in self.columns]
+        if len(self.header) != len(self.columns) or len({c.shape for c in self.columns}) > 1:
+            raise ValidationError(f"table {self.header} needs one equal-length column per name")
+
+    def cells(self) -> list[str]:
+        """One printf conversion per column: %d for integers, %.17g for floats, else %s."""
+        return [{"i": "%d", "u": "%d", "f": "%.17g"}.get(c.dtype.kind, "%s") for c in self.columns]
+
+
 def format_number(value) -> str:
     """Exact-width numeric rendering: ints verbatim, floats at 17 significant digits."""
     if isinstance(value, (bool, np.bool_)):
@@ -32,6 +52,8 @@ def render_json(value, indent: int = 0) -> str:
     """Deterministic JSON with controlled float formatting."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(value, Table):
+        return _render_table_json(value, indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -55,18 +77,24 @@ def render_json(value, indent: int = 0) -> str:
     return json.dumps(str(value))
 
 
-def render_csv(header: list[str], rows) -> str:
-    """CSV text with '\\n' newlines and deterministic float formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(format_number(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _render_table_json(table: Table, indent: int) -> str:
+    """The table as a JSON list of row objects, in `render_json`'s layout."""
+    pad, inner, field = ("  " * (indent + i) for i in range(3))
+    cells = table.cells()
+    fields = ",\n".join(f"{field}{json.dumps(str(name))}: ".replace("%", "%%") + cell
+                         for name, cell in zip(table.header, cells))
+    template = f"{inner}{{\n{fields}\n{inner}}}"
+    columns = [[render_json(v) for v in column.tolist()] if cell == "%s" else column.tolist()
+               for column, cell in zip(table.columns, cells)]
+    rows = [template % row for row in zip(*columns)]
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
+
+
+def render_csv(table: Table) -> str:
+    """CSV text with '\\n' newlines: the header line, then one template per row."""
+    template = ",".join(table.cells()) + "\n"
+    rows = zip(*(column.tolist() for column in table.columns))
+    return ",".join(table.header) + "\n" + "".join(template % row for row in rows)
 
 
 @dataclass
@@ -81,8 +109,7 @@ class RunReport:
     command: str
     config: dict
     results: dict
-    csv_header: list[str] | None = None
-    csv_rows: list | None = None
+    csv: Table | None = None
     timings: dict = field(default_factory=dict)
     version: str = __version__
     exit_code: int = 0
@@ -97,9 +124,9 @@ class RunReport:
             }
             return render_json(doc) + "\n"
         if fmt == "csv":
-            if self.csv_header is None:
+            if self.csv is None:
                 raise ValidationError(f"command {self.command!r} has no CSV form")
-            return render_csv(self.csv_header, self.csv_rows or [])
+            return render_csv(self.csv)
         raise ValidationError(f"unknown output format {fmt!r}")
 
 

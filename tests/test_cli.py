@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from powerquery.cli import main, parse_and_dispatch
-from powerquery.reports import RunReport, render_csv, render_json
+from powerquery.reports import RunReport, Table, render_csv, render_json
 
 
 def run_cli(capsys, *argv):
@@ -268,5 +268,5 @@ class TestRendering:
         assert "0.66666666666666663" in text
 
     def test_csv_floats(self):
-        text = render_csv(["a", "b"], [[1, 1.0 / 3.0]])
+        text = render_csv(Table(["a", "b"], [[1], [1.0 / 3.0]]))
         assert text == "a,b\n1,0.33333333333333331\n"

@@ -322,7 +322,7 @@ class TestBetaCoefficients:
 
     @pytest.mark.parametrize("target", [[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.0, 0.8],
                                         [0.5, -0.5, 0.5j, 0.5]])
-    def test_matches_brute_force_autocorrelation(self, target):
+    def test_matches_brute_force_autocorrelation(self, target, monkeypatch):
         # sum over the block's outcomes o and frequencies m of conj(c_{o,m}) c_{o,m+l}
         rng = np.random.RandomState(46)
         coeffs = symbolic_run(build_pe_schedule(4, 4, initial_target=target),
@@ -342,6 +342,15 @@ class TestBetaCoefficients:
                     brute = sum(np.vdot(c[block, index[m]], c[block, index[m + l]])
                                 for m in coeffs.m_values if m + l in index)
                     assert abs(betas.table[b, i] - brute) <= 1e-14
+            # five spectrum rows per piece: several pieces and a ragged last one
+            nfft = 2 * (max(coeffs.m_values) - min(coeffs.m_values) + 1)
+            stored_rows = coeffs.control_dim * len(coeffs.columns)
+            assert stored_rows > 5 and stored_rows % 5
+            with monkeypatch.context() as patch:
+                patch.setattr(frequency, "BETA_PIECE_BYTES", 5 * 16 * nfft)
+                pieced = beta_coefficients(coeffs, blocks)
+            assert pieced.l_values == betas.l_values
+            assert pieced.table.tobytes() == betas.table.tobytes()
 
     def test_conjugate_symmetry(self):
         betas = beta_coefficients(self.coeffs, [range(self.total)])

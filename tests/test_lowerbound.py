@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from powerquery import (
     AlgorithmSchedule,
-    OutcomeDecoder,
     RegisterLayout,
     UnitarySpec,
     ValidationError,
@@ -24,6 +24,16 @@ FOUR_PI = 4 * math.pi
 
 def constant_family(n):
     return lambda q: constant_eigensystem(q, n)
+
+
+@dataclasses.dataclass(frozen=True)
+class FixedDecoder:
+    """A decoder with given per-outcome estimates, for deliberately odd schedules."""
+
+    estimates: np.ndarray
+
+    def decode_all(self):
+        return self.estimates
 
 
 class TestGridRule:
@@ -125,7 +135,7 @@ class TestLowerBoundAudit:
             initial_state=init_state(layout, target),
             initial_unitary=UnitarySpec.identity(),
             steps=(),
-            decoder=OutcomeDecoder(queries=0, lambda_map=lambda k: kappa + 0.5),
+            decoder=FixedDecoder(np.array([kappa + 0.5])),
         )
         audit = lower_bound_audit(schedule, constant_family(n), epsilon=0.3)
         assert audit.grid_size == 1
@@ -137,10 +147,9 @@ class TestLowerBoundAudit:
         schedule = build_pe_schedule(queries, n)
         rng = np.random.RandomState(64)
         shuffled = rng.permutation(1 << queries)
-        bad = OutcomeDecoder(queries=queries,
-                             lambda_map=lambda k: FOUR_PI * shuffled[k] / (1 << queries))
-        audit = lower_bound_audit(schedule, constant_family(n), matched_epsilon(queries),
-                                  decoder=bad)
+        bad = FixedDecoder(FOUR_PI * shuffled / (1 << queries))
+        audit = lower_bound_audit(dataclasses.replace(schedule, decoder=bad),
+                                  constant_family(n), matched_epsilon(queries))
         assert not audit.premise_ok
         assert not audit.all_passed
         assert audit.dft_values is None

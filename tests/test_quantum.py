@@ -410,25 +410,6 @@ class TestMeasurement:
         assert np.abs(joint.probabilities.reshape(4, 3).sum(axis=1) - control).max() < 1e-12
 
 
-class TestDumps:
-    def test_state_debug_dump(self):
-        layout = RegisterLayout(control_qubits=1, target_dim=2)
-        doc = init_state(layout, [1, 0]).debug_dump()
-        assert doc["control_qubits"] == 1 and doc["target_dim"] == 2
-        assert doc["amplitudes"][0] == [1.0, 0.0]
-        assert len(doc["amplitudes"]) == 4
-
-    def test_distribution_csv_dump(self):
-        layout = RegisterLayout(control_qubits=1, target_dim=1)
-        dist = measurement_distribution(apply_hadamard_layer(init_state(layout, [1])))
-        text = dist.dump_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "outcome,probability"
-        outcome, prob = lines[1].split(",")
-        assert outcome == "0"
-        assert float(prob) == pytest.approx(0.5, abs=1e-12)
-
-
 class TestSampling:
     def test_delta_distribution(self):
         layout = RegisterLayout(control_qubits=2, target_dim=1)
