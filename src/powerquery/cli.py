@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -434,13 +435,14 @@ _HANDLERS = {
     "lowerbound-audit": _cmd_lowerbound_audit,
 }
 
-_DEFAULT_FORMATS = {
-    "discretize": "json",
-    "eigensolve": "json",
-    "phase-estimate": "json",
-    "error-sweep": "csv",
-    "freq-audit": "json",
-    "lowerbound-audit": "json",
+# the payload formats of each subcommand, default first
+_FORMATS = {
+    "discretize": ("json", "csv"),
+    "eigensolve": ("json", "csv"),
+    "phase-estimate": ("json", "csv"),
+    "error-sweep": ("csv", "json"),
+    "freq-audit": ("json", "csv"),
+    "lowerbound-audit": ("json",),
 }
 
 
@@ -451,11 +453,17 @@ def parse_and_dispatch(argv) -> RunReport:
     if not getattr(args, "command", None):
         raise ValidationError(parser.format_usage().rstrip())
     config = _load_config(getattr(args, "config", None))
-    report = _HANDLERS[args.command](args, config)
-    fmt = _resolve(args, config, "format", default=_DEFAULT_FORMATS[args.command], cast=str)
+    formats = _FORMATS[args.command]
+    fmt = _resolve(args, config, "format", default=formats[0], cast=str)
+    if fmt not in formats:
+        raise ValidationError(f"command {args.command!r} has no CSV form" if fmt == "csv"
+                              else f"unknown output format {fmt!r}")
     output = _resolve(args, config, "output", cast=str)
     if args.command == "lowerbound-audit" and output is None:
         output = _resolve(args, config, "report", cast=str)
+    if output not in (None, "-") and not os.path.exists(os.path.dirname(output) or "."):
+        raise FileNotFoundError(2, os.strerror(2), output)  # what open() would raise
+    report = _HANDLERS[args.command](args, config)
     emit_report(report, fmt, output)
     return report
 

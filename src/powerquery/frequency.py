@@ -23,6 +23,7 @@ import numpy as np
 from .discretization import EigenSystem
 from .errors import (ConditioningError, NumericalError, SimulationLimitError,
                      ValidationError)
+from . import quantum
 from .quantum import (AlgorithmSchedule, RegisterLayout, StateVector,
                       apply_power_query_array, apply_unitary_array, control_rows,
                       live_columns, squared_norm)
@@ -34,7 +35,6 @@ BLOCK_BOUND_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 BASIS_PERIOD = 4.0 * np.pi  # every basis function exp(i l q / 2) has this period in q
 BRUTE_FORCE_PAIR_LIMIT = 2 ** 22
-BETA_PIECE_BYTES = 16 * 2 ** 20  # complex FFT rows beta_coefficients makes at a time
 
 
 # --------------------------------------------------------------------------
@@ -163,8 +163,9 @@ def symbolic_run(schedule: AlgorithmSchedule, eig: EigenSystem) -> TrigCoefficie
     live = live_columns(schedule)
     kinetic = eig.kinetic_eigenvalues[live]
     m_values = np.zeros(1, dtype=np.int64)
-    start = np.take(schedule.initial_state.amplitudes, live, axis=1).astype(complex)
-    table = apply_unitary_array(start[None], schedule.initial_unitary, eig)
+    start = np.zeros((1, layout.control_dim, live.size), dtype=complex)
+    start[0, 0] = schedule.initial_target[live]
+    table = apply_unitary_array(start, schedule.initial_unitary, eig)
     history = [squared_norm(table)]
 
     for step_index, step in enumerate(schedule.steps, start=1):
@@ -254,7 +255,7 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
     over the block's outcomes.  Autocorrelation is linear in the power
     spectrum, so the stored outcomes' spectra are summed per block and each
     block takes one inverse FFT; outcomes that are not stored contribute zero.
-    The spectra are made for as many rows at a time as fit ``BETA_PIECE_BYTES``.
+    The spectra are made for as many rows at a time as fit ``quantum.CHUNK_BYTES``.
     """
     blocks = [np.asarray(sorted(block), dtype=int) for block in partition]
     total = coeffs.outcome_count
@@ -278,7 +279,7 @@ def beta_coefficients(coeffs: TrigCoefficients, partition) -> BetaCoefficients:
     nfft = 2 * span
     outcomes = coeffs.joint_outcomes()
     joint = coeffs.joint_table()
-    piece = max(1, BETA_PIECE_BYTES // (16 * nfft))
+    piece = max(1, quantum.CHUNK_BYTES // (16 * nfft))
     power = np.zeros((len(blocks), nfft))
     for start in range(0, outcomes.size, piece):
         rows = joint[start:start + piece]

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .frequency import (beta_coefficients, control_partition,
                         probability_frequencies, symbolic_run)
-from .quantum import AlgorithmSchedule, measurement_distribution, run_schedule
+from .quantum import AlgorithmSchedule, control_distribution
 
 FOUR_PI = 4.0 * math.pi
 PROJECTION_MATCH_TOL = 1e-12
@@ -197,7 +197,7 @@ def lower_bound_audit(schedule: AlgorithmSchedule, eig_family, epsilon: float,
 
     prob = np.empty((n_grid, estimates.size))
     for idx, eig in enumerate(systems):
-        prob[idx] = measurement_distribution(run_schedule(schedule, eig)).probabilities
+        prob[idx] = control_distribution(schedule, eig).probabilities
     # block_mass[r, n] = probability of answer set r under input x_n
     block_mass = membership @ prob.T
     diagonal = np.diag(block_mass).copy()

@@ -17,8 +17,7 @@ from .discretization import (EigenSystem, PotentialSpec, build_matrix,
                              constant_eigensystem, solve_eigensystem)
 from .errors import ValidationError
 from .quantum import (AlgorithmSchedule, MeasurementDistribution, QueryStep,
-                      RegisterLayout, UnitarySpec, init_state,
-                      measurement_distribution, run_schedule)
+                      RegisterLayout, UnitarySpec, control_distribution)
 
 FOUR_PI = 4.0 * math.pi
 SUCCESS_THRESHOLD = 0.75
@@ -95,14 +94,13 @@ def build_pe_schedule(queries: int, target_dim: int,
     if initial_target is None:
         initial_target = np.zeros(target_dim)
         initial_target[0] = 1.0
-    state = init_state(layout, initial_target)
     steps = []
     for j in range(1, queries + 1):
         unitary = UnitarySpec.inverse_qft() if j == queries else UnitarySpec.identity()
         steps.append(QueryStep(control_bit=queries - j + 1, power=1 << (j - 1), unitary=unitary))
     return AlgorithmSchedule(
         layout=layout,
-        initial_state=state,
+        initial_target=initial_target,
         initial_unitary=UnitarySpec.hadamard_layer(),
         steps=tuple(steps),
         decoder=OutcomeDecoder(queries=queries),
@@ -150,8 +148,7 @@ def run_phase_estimation(cfg: PEConfig) -> PEResult:
     overlap = 1.0 if cfg.mode == MODE_EXACT else cfg.overlap
     schedule = build_pe_schedule(cfg.queries, cfg.grid_size,
                                  initial_target=_perturbed_target(eig, overlap))
-    final = run_schedule(schedule, eig)
-    dist = measurement_distribution(final)
+    dist = control_distribution(schedule, eig)
     estimates = schedule.decoder.decode_all()
     mask = np.abs(estimates - lam) <= cfg.epsilon
     return PEResult(
@@ -213,14 +210,6 @@ class ErrorReport:
             )
 
 
-def _distribution_for(q: float, queries: int, grid_size: int):
-    eig = constant_eigensystem(q, grid_size)
-    schedule = build_pe_schedule(queries, grid_size)
-    dist = measurement_distribution(run_schedule(schedule, eig))
-    estimates = schedule.decoder.decode_all()
-    return np.abs(estimates - eig.eigenvalues[0]), dist.probabilities
-
-
 def worst_case_error_sweep(queries: int, grid_size: int, q_values=None,
                            threshold: float = SUCCESS_THRESHOLD) -> ErrorReport:
     """Smallest per-potential accuracy at the threshold, maximized over the grid."""
@@ -229,9 +218,13 @@ def worst_case_error_sweep(queries: int, grid_size: int, q_values=None,
         raise ValidationError("the potential grid must be nonempty")
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold must lie in [0,1], got {threshold}")
+    schedule = build_pe_schedule(queries, grid_size)
+    estimates = schedule.decoder.decode_all()
     per_q = []
     for q in qs:
-        distances, probs = _distribution_for(q, queries, grid_size)
+        eig = constant_eigensystem(q, grid_size)
+        probs = control_distribution(schedule, eig).probabilities
+        distances = np.abs(estimates - eig.eigenvalues[0])
         per_q.append((_smallest_success_epsilon(distances, probs, threshold), distances, probs))
     eps_star = max(item[0] for item in per_q)
     floor = min(probs[distances <= eps_star].sum() for _, distances, probs in per_q)

@@ -6,10 +6,10 @@ propagator is a single diagonal phase multiplication.  This is the only state
 representation: the eigensystem rotates the target axis to the standard basis
 only inside a full-space unitary and a joint standard-basis measurement.
 
-Every fixed unitary except a full-space matrix acts on the control register
-alone, so a schedule never mixes eigencolumns: a column that starts at zero
-stays zero.  `run_schedule` therefore propagates only the live columns, each
-with its own eigenvalue, and returns the full-width state.
+Schedules start at |0> (x) target and every fixed unitary but a full-space
+matrix acts on the control register alone, so eigencolumns evolve on their
+own.  One step loop propagates blocks of live columns: `control_distribution`
+streams them in chunks, and `run_schedule` returns the full-width state.
 
 Control bits are numbered 1..c with bit 1 the most significant bit of the
 control index, matching the top-to-bottom wire order of the usual phase
@@ -30,6 +30,7 @@ DEFAULT_AMPLITUDE_LIMIT = 2 ** 24
 FULL_UNITARY_LIMIT = 4096
 NORM_TOL = 1e-12
 NORM_PIECE = 8192  # float64 values squared and summed at a time: 64 KiB
+CHUNK_BYTES = 16 * 2 ** 20  # complex values a streamed loop holds per chunk
 UNITARY_TOL = 1e-10
 
 
@@ -68,10 +69,10 @@ def squared_norm(amplitudes: np.ndarray) -> float:
                          for i in range(0, values.size, NORM_PIECE)]))
 
 
-def _check_norm(amplitudes: np.ndarray):
+def _check_norm(amplitudes: np.ndarray, expected: float = 1.0):
     norm = math.sqrt(squared_norm(amplitudes))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValidationError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL:g}")
+    if abs(norm - expected) > NORM_TOL:
+        raise ValidationError(f"state norm {norm!r} deviates from {expected:g} beyond {NORM_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -90,18 +91,22 @@ class StateVector:
         _check_norm(self.amplitudes)
 
 
-def init_state(layout: RegisterLayout, target_amplitudes) -> StateVector:
-    """All-zeros control register tensored with the given target amplitudes."""
-    target = np.asarray(target_amplitudes, dtype=complex)
+def _checked_target(layout: RegisterLayout, target_amplitudes) -> np.ndarray:
+    """The target amplitudes as a read-only complex n-vector of unit norm."""
+    target = np.array(target_amplitudes, dtype=complex)
     if target.shape != (layout.target_dim,):
         raise ValidationError(
             f"target amplitudes have shape {target.shape}, expected ({layout.target_dim},)"
         )
-    norm = float(np.linalg.norm(target))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValidationError(f"target amplitudes have norm {norm!r}, expected 1 within 1e-10")
+    _check_norm(target)
+    target.setflags(write=False)
+    return target
+
+
+def init_state(layout: RegisterLayout, target_amplitudes) -> StateVector:
+    """All-zeros control register tensored with the given target amplitudes."""
     amp = np.zeros((layout.control_dim, layout.target_dim), dtype=complex)
-    amp[0, :] = target
+    amp[0, :] = _checked_target(layout, target_amplitudes)
     return StateVector(layout=layout, amplitudes=amp)
 
 
@@ -173,19 +178,21 @@ class QueryStep:
 class AlgorithmSchedule:
     """A power-query algorithm: U_0, then alternating queries and unitaries.
 
-    Running the schedule applies ``initial_unitary`` to ``initial_state`` and
-    then, for each step j, the controlled power (bit l_j, power p_j) followed
+    Running the schedule applies ``initial_unitary`` to |0> (x) ``initial_target``
+    and then, for each step j, the controlled power (bit l_j, power p_j) followed
     by that step's unitary.  ``decoder.decode_all()`` gives every control
     outcome's eigenvalue estimate; it is None for schedules that are not decoded.
     """
 
     layout: RegisterLayout
-    initial_state: StateVector
+    initial_target: np.ndarray
     initial_unitary: UnitarySpec
     steps: tuple[QueryStep, ...]
     decoder: object | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "initial_target",
+                           _checked_target(self.layout, self.initial_target))
         for j, step in enumerate(self.steps, start=1):
             if not 1 <= step.control_bit <= self.layout.control_qubits:
                 raise ValidationError(
@@ -326,55 +333,56 @@ def apply_unitary(state: StateVector, spec: UnitarySpec,
     return state if amp is state.amplitudes else replace(state, amplitudes=amp)
 
 
+def _couples_columns(schedule: AlgorithmSchedule) -> bool:
+    unitaries = (schedule.initial_unitary,) + tuple(step.unitary for step in schedule.steps)
+    return any(u.kind == UnitarySpec.FULL_DENSE for u in unitaries)
+
+
 def live_columns(schedule: AlgorithmSchedule) -> np.ndarray:
     """Ascending eigen indices of the target columns the schedule can change.
 
-    These are the non-zero columns of the initial state.  A full-space
+    These are the non-zero entries of the initial target.  A full-space
     unitary couples the columns, so it makes every column live.
     """
-    unitaries = (schedule.initial_unitary,) + tuple(step.unitary for step in schedule.steps)
-    if any(u.kind == UnitarySpec.FULL_DENSE for u in unitaries):
+    if _couples_columns(schedule):
         return np.arange(schedule.layout.target_dim)
-    return np.flatnonzero(np.any(schedule.initial_state.amplitudes != 0, axis=0))
+    return np.flatnonzero(schedule.initial_target)
+
+
+def _propagate(schedule: AlgorithmSchedule, eig: EigenSystem, cols: np.ndarray) -> np.ndarray:
+    """Final (2^c, k) amplitudes of the eigencolumns `cols`, queries applied in place.
+
+    The columns keep their starting norm on their own; it is checked after
+    every query and after every unitary that is not the identity.
+    """
+    if eig.n != schedule.layout.target_dim:
+        raise ValidationError(
+            f"eigensystem dimension {eig.n} does not match schedule target dimension "
+            f"{schedule.layout.target_dim}"
+        )
+    start = np.zeros((schedule.layout.control_dim, cols.size), dtype=complex)
+    start[0] = schedule.initial_target[cols]
+    norm = math.sqrt(squared_norm(start[0]))
+    amp = apply_unitary_array(start, schedule.initial_unitary, eig)
+    if amp is not start:
+        _check_norm(amp, norm)
+    eigenvalues = eig.eigenvalues[cols]
+    for step in schedule.steps:
+        apply_power_query_array(amp, step.control_bit, step.power, eigenvalues)
+        _check_norm(amp, norm)
+        mixed = apply_unitary_array(amp, step.unitary, eig)
+        if mixed is not amp:
+            amp = mixed
+            _check_norm(amp, norm)
+    return amp
 
 
 def run_schedule(schedule: AlgorithmSchedule, eig: EigenSystem) -> StateVector:
-    """Evaluate the full algorithm product on the schedule's initial state.
-
-    Only the live columns (`live_columns`) are propagated, with queries
-    applied in place; the full-width state is assembled once at the end.  The
-    norm is checked after the initial unitary, after every query and after
-    every unitary that is not the identity.
-    """
-    layout, start = schedule.layout, schedule.initial_state
-    if eig.n != layout.target_dim:
-        raise ValidationError(
-            f"eigensystem dimension {eig.n} does not match schedule target dimension "
-            f"{layout.target_dim}"
-        )
+    """The full-width final state: the live columns propagated together, the rest zero."""
+    layout = schedule.layout
     live = live_columns(schedule)
-    whole = live.size == layout.target_dim
-    cols = start.amplitudes if whole else np.take(start.amplitudes, live, axis=1)
-    amp = apply_unitary_array(cols, schedule.initial_unitary, eig)
-    if amp is start.amplitudes:
-        amp = amp.copy()
-    eigenvalues = eig.eigenvalues[live]
-    # a check waits until the state is about to change; the returned
-    # StateVector checks the last one
-    unchecked = schedule.initial_unitary.kind != UnitarySpec.IDENTITY
-    for step in schedule.steps:
-        if unchecked:
-            _check_norm(amp)
-        apply_power_query_array(amp, step.control_bit, step.power, eigenvalues)
-        mixed = apply_unitary_array(amp, step.unitary, eig)
-        if mixed is not amp:
-            _check_norm(amp)
-            amp = mixed
-        unchecked = True
-    if not whole:
-        full = np.zeros((layout.control_dim, layout.target_dim), dtype=complex)
-        full[:, live] = amp
-        amp = full
+    amp = np.zeros((layout.control_dim, layout.target_dim), dtype=complex)
+    amp[:, live] = _propagate(schedule, eig, live)
     return StateVector(layout=layout, amplitudes=amp)
 
 
@@ -418,6 +426,23 @@ def measurement_distribution(state: StateVector, scope: str = CONTROL_ONLY,
         probs = (np.abs(amp @ eig.eigenvectors.T) ** 2).reshape(-1)
     else:
         raise ValidationError(f"unknown measurement scope {scope!r}")
+    return MeasurementDistribution(probabilities=probs)
+
+
+def control_distribution(schedule: AlgorithmSchedule,
+                         eig: EigenSystem) -> MeasurementDistribution:
+    """Control-register outcome probabilities of the schedule's final state.
+
+    The live columns run through the step loop in chunks of ``CHUNK_BYTES``
+    (all at once when a full-space unitary couples them); each chunk's
+    squared magnitudes are added per control row.
+    """
+    rows = schedule.layout.control_dim
+    live = live_columns(schedule)
+    width = live.size if _couples_columns(schedule) else max(1, CHUNK_BYTES // (16 * rows))
+    probs = np.zeros(rows)
+    for start in range(0, live.size, width):
+        probs += (np.abs(_propagate(schedule, eig, live[start:start + width])) ** 2).sum(axis=1)
     return MeasurementDistribution(probabilities=probs)
 
 

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import powerquery
+from powerquery import cli, quantum
 from powerquery.cli import main, parse_and_dispatch
 from powerquery.reports import RunReport, Table, render_csv, render_json
+from test_acceptance import CLI_EXAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +245,30 @@ class TestCliPlumbing:
         assert code == 3
         assert "i/o" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["lowerbound-audit", "--T", "11", "--n", "1", "--format", "csv"], "no CSV form"),
+        (["phase-estimate", "--q", "const:0.5", "--n", "128", "--T", "14",
+          "--epsilon", "1e-3", "--output", "/nonexistent-dir/out.json"], "[Errno 2]"),
+        (["lowerbound-audit", "--T", "11", "--n", "1",
+          "--report", "/nonexistent-dir/audit.json"], "[Errno 2]"),
+    ])
+    def test_format_and_output_refused_before_the_work(self, argv, message, capsys,
+                                                       monkeypatch):
+        def no_work(*_):
+            raise AssertionError("the handler ran")
+        monkeypatch.setitem(cli._HANDLERS, argv[0], no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == (3 if "Errno" in message else 1) and out == ""
+        assert message in err
+
+    def test_config_format_refused_before_the_work(self, capsys, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"q": "const:0", "n": 2, "format": "xml"}))
+        monkeypatch.setitem(cli._HANDLERS, "discretize", None)
+        code, out, err = run_cli(capsys, "discretize", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert "unknown output format 'xml'" in err
+
     def test_payload_determinism_in_process(self):
         argv = ["freq-audit", "--powers", "1,3,9", "--format", "json"]
         a = parse_and_dispatch(argv).payload("json")
@@ -270,3 +297,28 @@ class TestRendering:
     def test_csv_floats(self):
         text = render_csv(Table(["a", "b"], [[1], [1.0 / 3.0]]))
         assert text == "a,b\n1,0.33333333333333331\n"
+
+
+class TestNoFullWidthState:
+    """No CLI run builds the (2^T, n) state: `run_schedule` is for library callers."""
+
+    @pytest.mark.parametrize("argv", [
+        *CLI_EXAMPLES,
+        ["lowerbound-audit", "--T", "6", "--n", "8", "--epsilon", "auto"],
+        ["lowerbound-audit", "--T", "6", "--n", "8", "--epsilon", "0.01"],
+        ["freq-audit", "--pe-T", "5", "--n", "4", "--dump-coefficients", "DUMP"],
+    ], ids=lambda a: " ".join(a)[:48])
+    def test_cli_never_calls_run_schedule(self, argv, capsys, monkeypatch, tmp_path):
+        original = quantum.run_schedule
+
+        def refuse(*_):
+            raise AssertionError("run_schedule called on a CLI path")
+        for name, module in list(sys.modules.items()):
+            if name == "powerquery" or name.startswith("powerquery."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+        assert powerquery.run_schedule is refuse
+        argv = [str(tmp_path / "dump.csv") if a == "DUMP" else a for a in argv]
+        assert main(argv) in (0, 2)
+        capsys.readouterr()

@@ -21,12 +21,11 @@ from powerquery import (
     fit_sample_grid,
     fit_trig_poly,
     frequency_sets,
-    init_state,
     measurement_distribution,
     run_schedule,
     symbolic_run,
 )
-from powerquery import frequency
+from powerquery import frequency, quantum
 
 
 def brute_force_m_set(powers):
@@ -118,7 +117,7 @@ class TestSymbolicRun:
     def test_base_case_no_queries(self):
         layout = RegisterLayout(control_qubits=1, target_dim=2)
         eig = constant_eigensystem(0.0, 2)
-        schedule = AlgorithmSchedule(layout=layout, initial_state=init_state(layout, [1, 0]),
+        schedule = AlgorithmSchedule(layout=layout, initial_target=[1, 0],
                                      initial_unitary=UnitarySpec.identity(), steps=())
         coeffs = symbolic_run(schedule, eig)
         assert coeffs.m_values == (0,)
@@ -131,7 +130,7 @@ class TestSymbolicRun:
         eig = constant_eigensystem(0.0, 2)
         schedule = AlgorithmSchedule(
             layout=layout,
-            initial_state=init_state(layout, [1, 0]),
+            initial_target=[1, 0],
             initial_unitary=UnitarySpec.hadamard_layer(),
             steps=(QueryStep(control_bit=1, power=1, unitary=UnitarySpec.identity()),),
         )
@@ -165,7 +164,7 @@ class TestSymbolicRun:
             for _ in range(3)
         )
         schedule = AlgorithmSchedule(
-            layout=layout, initial_state=init_state(layout, [0, 1]),
+            layout=layout, initial_target=[0, 1],
             initial_unitary=UnitarySpec.control_dense(rand_unitary(4)), steps=steps)
         eig0 = constant_family_eigensystem(0.0, 2)
         coeffs = symbolic_run(schedule, eig0)
@@ -188,7 +187,7 @@ class TestSymbolicRun:
                 for _ in range(int(rng.randint(1, 4)))
             )
             schedule = AlgorithmSchedule(
-                layout=layout, initial_state=init_state(layout, target / np.linalg.norm(target)),
+                layout=layout, initial_target=target / np.linalg.norm(target),
                 initial_unitary=UnitarySpec.hadamard_layer(), steps=steps)
             coeffs = symbolic_run(schedule, constant_eigensystem(0.0, n))
             assert coeffs.columns == tuple(live.tolist())
@@ -289,7 +288,7 @@ class TestBetaCoefficients:
             target = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             target /= np.linalg.norm(target)
             schedule = AlgorithmSchedule(
-                layout=layout, initial_state=init_state(layout, target),
+                layout=layout, initial_target=target,
                 initial_unitary=UnitarySpec.hadamard_layer(), steps=steps)
             coeffs = symbolic_run(schedule, constant_eigensystem(0.0, 3))
             total = coeffs.outcome_count
@@ -346,9 +345,14 @@ class TestBetaCoefficients:
             nfft = 2 * (max(coeffs.m_values) - min(coeffs.m_values) + 1)
             stored_rows = coeffs.control_dim * len(coeffs.columns)
             assert stored_rows > 5 and stored_rows % 5
+            ffts = []
             with monkeypatch.context() as patch:
-                patch.setattr(frequency, "BETA_PIECE_BYTES", 5 * 16 * nfft)
+                patch.setattr(quantum, "CHUNK_BYTES", 5 * 16 * nfft)
+                fft = np.fft.fft
+                patch.setattr(np.fft, "fft", lambda a, *args, **kw: ffts.append(len(a))
+                              or fft(a, *args, **kw))
                 pieced = beta_coefficients(coeffs, blocks)
+            assert ffts == [5] * (stored_rows // 5) + [stored_rows % 5]
             assert pieced.l_values == betas.l_values
             assert pieced.table.tobytes() == betas.table.tobytes()
 

@@ -13,7 +13,6 @@ from powerquery import (
     constant_eigensystem,
     gap_audit,
     grid_size_for_accuracy,
-    init_state,
     lower_bound_audit,
     matched_epsilon,
     project_frequencies,
@@ -132,7 +131,7 @@ class TestLowerBoundAudit:
         kappa = constant_eigensystem(0.0, n).eigenvalues[0]
         schedule = AlgorithmSchedule(
             layout=layout,
-            initial_state=init_state(layout, target),
+            initial_target=target,
             initial_unitary=UnitarySpec.identity(),
             steps=(),
             decoder=FixedDecoder(np.array([kappa + 0.5])),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from powerquery import (
     run_schedule,
     worst_case_error_sweep,
 )
+from powerquery import quantum
 
 FOUR_PI = 4 * math.pi
 
@@ -172,6 +174,32 @@ class TestRunPhaseEstimation:
         # the decoded peak should sit near the true eigenvalue
         peak = int(np.argmax(result.distribution.probabilities))
         assert abs(result.lambda_estimates[peak] - result.lambda_true) < FOUR_PI * 2.0 ** -4
+
+
+class TestWorkingSet:
+    """Phase estimation holds the live columns, a chunk at a time, not the (2^T, n) state."""
+
+    @staticmethod
+    def peak_mib(cfg):
+        tracemalloc.start()
+        try:
+            run_phase_estimation(cfg)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_exact_mode_holds_one_column(self):
+        # the full-width state alone is 32 MiB
+        cfg = PEConfig(queries=14, grid_size=128, potential=PotentialSpec.constant(0.5),
+                       epsilon=1e-3)
+        assert self.peak_mib(cfg) <= 4
+
+    def test_perturbed_mode_holds_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(quantum, "CHUNK_BYTES", 2 * 2 ** 20)
+        cfg = PEConfig(queries=14, grid_size=128,
+                       potential=PotentialSpec.polynomial([0.1, 0.2, 0.05]),
+                       epsilon=1e-2, mode="perturbed", overlap=0.95)
+        assert self.peak_mib(cfg) <= 16
 
 
 class TestWorstCaseError:

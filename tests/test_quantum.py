@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,11 +16,13 @@ from powerquery import (
     apply_power_query,
     apply_unitary,
     constant_eigensystem,
+    control_distribution,
     init_state,
     measurement_distribution,
     run_schedule,
     sample_outcomes,
 )
+from powerquery import EigenSystem, quantum
 from powerquery.quantum import (StateVector, apply_unitary_array, control_rows,
                                 live_columns, squared_norm)
 
@@ -35,19 +40,23 @@ def random_state(layout, rng):
     return StateVector(layout=layout, amplitudes=amp)
 
 
-def random_sparse_schedule(rng, full_dense=False):
-    """Random schedule whose start fills a random subset of the eigencolumns.
+def random_target(n, live, rng):
+    target = np.zeros(n, dtype=complex)
+    target[live] = rng.standard_normal(live.size) + 1j * rng.standard_normal(live.size)
+    return target / np.linalg.norm(target)
 
-    Unitaries are control-dense, Hadamard, inverse QFT or identity; with
-    `full_dense` one of them, chosen at random, is a full-space matrix.
+
+def random_sparse_schedule(rng, full_dense=False, max_n=5):
+    """Random schedule whose target fills a random subset of the eigencolumns.
+
+    The initial unitary is a random control-dense matrix, which spreads the
+    target over the whole control register.  The step unitaries are
+    control-dense, Hadamard, inverse QFT or identity; with `full_dense` one
+    unitary, chosen at random, is a full-space matrix.
     """
-    c, n = int(rng.randint(1, 4)), int(rng.randint(1, 6))
+    c, n = int(rng.randint(1, 4)), int(rng.randint(1, max_n + 1))
     layout = RegisterLayout(control_qubits=c, target_dim=n)
     live = np.sort(rng.choice(n, size=rng.randint(1, n + 1), replace=False))
-    amp = np.zeros((layout.control_dim, n), dtype=complex)
-    amp[:, live] = (rng.standard_normal((layout.control_dim, live.size))
-                    + 1j * rng.standard_normal((layout.control_dim, live.size)))
-    amp /= np.linalg.norm(amp)
 
     def unitary():
         kind = rng.randint(4)
@@ -57,15 +66,44 @@ def random_sparse_schedule(rng, full_dense=False):
                 UnitarySpec.identity())[kind - 1]
 
     count = int(rng.randint(0, 5))
-    unitaries = [unitary() for _ in range(count + 1)]
+    unitaries = [UnitarySpec.control_dense(random_unitary(layout.control_dim, rng))]
+    unitaries += [unitary() for _ in range(count)]
     if full_dense:
         unitaries[rng.randint(count + 1)] = UnitarySpec.full_dense(
             random_unitary(layout.control_dim * n, rng))
     steps = tuple(QueryStep(control_bit=int(rng.randint(1, c + 1)),
                             power=int(rng.randint(1, 9)), unitary=u)
                   for u in unitaries[1:])
-    return AlgorithmSchedule(layout=layout, initial_state=StateVector(layout=layout, amplitudes=amp),
+    return AlgorithmSchedule(layout=layout, initial_target=random_target(n, live, rng),
                              initial_unitary=unitaries[0], steps=steps), live
+
+
+def reference_run(schedule, eig) -> np.ndarray:
+    """Full-width (2^c, n) propagation with explicit matrices: the runner's reference."""
+    c, n = schedule.layout.control_qubits, schedule.layout.target_dim
+    rows = 1 << c
+    k = np.arange(rows)
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    control = {
+        UnitarySpec.IDENTITY: np.eye(rows),
+        UnitarySpec.HADAMARD_LAYER: functools.reduce(np.kron, [hadamard] * c, np.eye(1)),
+        UnitarySpec.INVERSE_QFT: np.exp(-2j * np.pi * np.outer(k, k) / rows) / np.sqrt(rows),
+    }
+
+    def apply(spec, amp):
+        if spec.kind == UnitarySpec.FULL_DENSE:
+            standard = (amp @ eig.eigenvectors.T).reshape(-1)
+            return (spec.matrix @ standard).reshape(rows, n) @ eig.eigenvectors
+        return control.get(spec.kind, spec.matrix) @ amp
+
+    amp = np.zeros((rows, n), dtype=complex)
+    amp[0] = schedule.initial_target
+    amp = apply(schedule.initial_unitary, amp)
+    for step in schedule.steps:
+        bit_set = ((k >> (c - step.control_bit)) & 1).astype(bool)
+        amp[bit_set] *= np.exp(0.5j * step.power * eig.eigenvalues)
+        amp = apply(step.unitary, amp)
+    return amp
 
 
 class TestLayoutAndInit:
@@ -300,7 +338,7 @@ class TestRunSchedule:
     def test_empty_schedule_is_initial_state(self):
         layout = RegisterLayout(control_qubits=1, target_dim=2)
         state = init_state(layout, [1, 0])
-        schedule = AlgorithmSchedule(layout=layout, initial_state=state,
+        schedule = AlgorithmSchedule(layout=layout, initial_target=[1, 0],
                                      initial_unitary=UnitarySpec.identity(), steps=())
         out = run_schedule(schedule, constant_eigensystem(0.0, 2))
         assert np.array_equal(out.amplitudes, state.amplitudes)
@@ -314,7 +352,8 @@ class TestRunSchedule:
                       unitary=UnitarySpec.control_dense(random_unitary(4, rng)))
             for _ in range(4)
         )
-        schedule = AlgorithmSchedule(layout=layout, initial_state=random_state(layout, rng),
+        schedule = AlgorithmSchedule(layout=layout,
+                                     initial_target=random_target(3, np.arange(3), rng),
                                      initial_unitary=UnitarySpec.hadamard_layer(), steps=steps)
         out = run_schedule(schedule, eig)
         assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
@@ -327,8 +366,9 @@ class TestRunSchedule:
         state = StateVector(layout=layout, amplitudes=amp)
         steps = tuple(QueryStep(control_bit=b, power=p, unitary=UnitarySpec.identity())
                       for b, p in ((1, 2), (2, 5)))
-        schedule = AlgorithmSchedule(layout=layout, initial_state=state,
-                                     initial_unitary=UnitarySpec.identity(), steps=steps)
+        flip = UnitarySpec.control_dense(np.eye(4)[::-1])  # |00> -> |11>
+        schedule = AlgorithmSchedule(layout=layout, initial_target=[0, 1, 0, 0],
+                                     initial_unitary=flip, steps=steps)
         out = run_schedule(schedule, eig)
         ratio = out.amplitudes[3, 1]
         assert abs(abs(ratio) - 1) < 1e-12
@@ -336,9 +376,8 @@ class TestRunSchedule:
 
     def test_validates_control_bits(self):
         layout = RegisterLayout(control_qubits=1, target_dim=2)
-        state = init_state(layout, [1, 0])
         with pytest.raises(ValidationError):
-            AlgorithmSchedule(layout=layout, initial_state=state,
+            AlgorithmSchedule(layout=layout, initial_target=[1, 0],
                               initial_unitary=UnitarySpec.identity(),
                               steps=(QueryStep(control_bit=2, power=1,
                                                unitary=UnitarySpec.identity()),))
@@ -363,15 +402,86 @@ class TestLiveColumns:
         for _ in range(40):
             schedule, _ = random_sparse_schedule(rng, full_dense)
             eig = constant_eigensystem(float(rng.uniform(0, 1)), schedule.layout.target_dim)
-            start = schedule.initial_state.amplitudes.copy()
-            ref = apply_unitary(schedule.initial_state, schedule.initial_unitary, eig)
-            for step in schedule.steps:
-                ref = apply_power_query(ref, step.control_bit, step.power, eig)
-                ref = apply_unitary(ref, step.unitary, eig)
+            target = schedule.initial_target.copy()
+            ref = reference_run(schedule, eig)
             out = run_schedule(schedule, eig)
-            assert out.amplitudes.shape == ref.amplitudes.shape
-            assert np.abs(out.amplitudes - ref.amplitudes).max() <= 1e-12
-            assert np.array_equal(schedule.initial_state.amplitudes, start)
+            assert out.amplitudes.shape == ref.shape
+            assert np.abs(out.amplitudes - ref).max() <= 1e-12
+            assert np.array_equal(schedule.initial_target, target)
+
+
+class TestControlDistribution:
+    @staticmethod
+    def budgets(schedule, live):
+        """Chunk budgets: one column per chunk, a ragged last chunk, everything at once."""
+        column = 16 * schedule.layout.control_dim
+        ragged = max(1, live - 1) if live > 2 else 1
+        return (column, ragged * column, live * column + 1)
+
+    @pytest.mark.parametrize("full_dense", [False, True])
+    def test_matches_full_width_reference_at_every_budget(self, full_dense, monkeypatch):
+        rng = np.random.RandomState(20 + full_dense)
+        for _ in range(40):
+            schedule, live = random_sparse_schedule(rng, full_dense, max_n=7)
+            eig = constant_eigensystem(float(rng.uniform(0, 1)), schedule.layout.target_dim)
+            ref = (np.abs(reference_run(schedule, eig)) ** 2).sum(axis=1)
+            for budget in self.budgets(schedule, live_columns(schedule).size):
+                monkeypatch.setattr(quantum, "CHUNK_BYTES", budget)
+                probs = control_distribution(schedule, eig).probabilities
+                assert probs.shape == ref.shape
+                assert np.abs(probs - ref).max() <= 1e-15
+
+    def test_single_column_runs_are_bit_identical_to_run_schedule(self, monkeypatch):
+        rng = np.random.RandomState(22)
+        for _ in range(20):
+            schedule, _ = random_sparse_schedule(rng)
+            n = schedule.layout.target_dim
+            schedule = dataclasses.replace(schedule, initial_target=np.eye(n)[rng.randint(n)])
+            eig = constant_eigensystem(float(rng.uniform(0, 1)), n)
+            whole = measurement_distribution(run_schedule(schedule, eig)).probabilities
+            for budget in self.budgets(schedule, 1):
+                monkeypatch.setattr(quantum, "CHUNK_BYTES", budget)
+                probs = control_distribution(schedule, eig).probabilities
+                assert probs.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("columns_per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["unitary", "query"])
+    def test_scaled_amplitude_fails_chunk_norm_check(self, columns_per_chunk, source,
+                                                     monkeypatch):
+        # a last unitary scaled by 1 + 1e-11, or a query phase of modulus 1 - 1e-11
+        layout = RegisterLayout(control_qubits=2, target_dim=3)
+        eig = constant_eigensystem(0.4, 3)
+        last = UnitarySpec.identity()
+        if source == "unitary":
+            last = UnitarySpec(kind=UnitarySpec.CONTROL_DENSE, matrix=np.eye(4) * (1 + 1e-11))
+        else:
+            eig = EigenSystem(eigenvalues=eig.eigenvalues + 4e-11j, eigenvectors=eig.eigenvectors)
+        schedule = AlgorithmSchedule(
+            layout=layout, initial_target=np.full(3, 1 / np.sqrt(3)),
+            initial_unitary=UnitarySpec.hadamard_layer(),
+            steps=(QueryStep(control_bit=2, power=1, unitary=UnitarySpec.identity()),
+                   QueryStep(control_bit=1, power=1, unitary=last)))
+        monkeypatch.setattr(quantum, "CHUNK_BYTES", 16 * 4 * columns_per_chunk)
+        with pytest.raises(ValidationError, match="norm"):
+            control_distribution(schedule, eig)
+
+    def test_schedule_checks_its_target(self):
+        layout = RegisterLayout(control_qubits=1, target_dim=2)
+        with pytest.raises(ValidationError, match="shape"):
+            AlgorithmSchedule(layout=layout, initial_target=[1, 0, 0],
+                              initial_unitary=UnitarySpec.identity(), steps=())
+        with pytest.raises(ValidationError, match="norm"):
+            AlgorithmSchedule(layout=layout, initial_target=[1.0, 0.5],
+                              initial_unitary=UnitarySpec.identity(), steps=())
+        with pytest.raises(ValidationError, match="norm"):
+            AlgorithmSchedule(layout=layout, initial_target=[1 + 1e-11, 0],
+                              initial_unitary=UnitarySpec.identity(), steps=())
+
+    def test_rejects_mismatched_eigensystem(self):
+        schedule, _ = random_sparse_schedule(np.random.RandomState(23))
+        eig = constant_eigensystem(0.0, schedule.layout.target_dim + 1)
+        with pytest.raises(ValidationError, match="dimension"):
+            control_distribution(schedule, eig)
 
 
 class TestMeasurement:

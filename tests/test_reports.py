@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from powerquery import ValidationError, build_pe_schedule, constant_eigensystem, symbolic_run
-from powerquery.cli import _DEFAULT_FORMATS, _coefficient_table, main, parse_and_dispatch
+from powerquery.cli import _FORMATS, _coefficient_table, main, parse_and_dispatch
 from powerquery.reports import Table, format_number, render_csv, render_json
 from test_acceptance import CLI_EXAMPLES
 
@@ -42,7 +42,7 @@ def generic_payload(report, fmt):
 
 
 def output_format(argv):
-    return argv[argv.index("--format") + 1] if "--format" in argv else _DEFAULT_FORMATS[argv[0]]
+    return argv[argv.index("--format") + 1] if "--format" in argv else _FORMATS[argv[0]][0]
 
 
 JSON_FORMS = [
