@@ -1,17 +1,22 @@
 """Command-line front end: reproducible runs with CSV/JSON payloads on stdout.
 
-Exit codes: 0 success, 1 validation or usage error, 2 premise failure in the
-lower-bound audit, 3 internal numerical or I/O failure.  All randomness is
-seeded (default 0), progress and timings go to stderr, and identical
-invocations produce byte-identical payloads.
+Each subcommand declares its parameters once, in one table; a value comes from
+its flag, else the --config file, else its default, and all are checked before
+any work.  Exit codes: 0 success, 1 validation or usage error, 2 premise
+failure in the lower-bound audit, 3 internal numerical or I/O failure.  All
+randomness is seeded (default 0), progress and timings go to stderr, and
+identical invocations produce byte-identical payloads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,219 +44,139 @@ class _CliParser(argparse.ArgumentParser):
         raise ValidationError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _build_parser() -> _CliParser:
-    parser = _CliParser(prog="powerquery", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+# Parse functions read flag text and config values alike; a refusal quotes the docstring.
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON file with flag defaults (flags override)")
-        p.add_argument("--output", help="write the payload to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-
-    p = sub.add_parser("discretize", help="build the finite-difference matrix or an error study")
-    p.add_argument("--q", dest="potential", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-list", dest="n_list", default=None,
-                   help="comma-separated grid sizes for the error study")
-    add_common(p)
-
-    p = sub.add_parser("eigensolve", help="solve the full eigensystem")
-    p.add_argument("--q", dest="potential", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="residual bound checked on the result, relative to (n+1)^2")
-    p.add_argument("--vectors", action="store_true", help="include eigenvectors in JSON output")
-    add_common(p)
-
-    p = sub.add_parser("phase-estimate", help="run phase estimation for one configuration")
-    p.add_argument("--q", dest="potential", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--T", dest="queries", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--mode", default=None, help="exact or perturbed:OVERLAP")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("error-sweep", help="worst-case error estimates over a range of T")
-    p.add_argument("--T-range", dest="t_range", default=None, help="inclusive range A:B")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None, help="number of potential grid points")
-    p.add_argument("--threshold", type=float, default=None)
-    add_common(p)
-
-    p = sub.add_parser("freq-audit", help="frequency sets of a power sequence")
-    p.add_argument("--powers", default=None, help="comma-separated positive integers")
-    p.add_argument("--pe-T", dest="pe_queries", type=int, default=None,
-                   help="audit the T-query phase-estimation power sequence instead")
-    p.add_argument("--n", type=int, default=None,
-                   help="target dimension for --dump-coefficients")
-    p.add_argument("--dump-coefficients", dest="dump_coefficients", default=None,
-                   help="write the symbolic coefficient table (k,s,m,re,im) to this CSV path")
-    add_common(p)
-
-    p = sub.add_parser("lowerbound-audit", help="verify the lower-bound inequality chain")
-    p.add_argument("--T", dest="queries", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--epsilon", default=None, help="'auto' for 4*pi*2^-T, or a number")
-    p.add_argument("--lambda-map", dest="lambda_map",
-                   choices=(LAMBDA_MAP_DISCRETE, LAMBDA_MAP_CONTINUUM), default=None)
-    p.add_argument("--report", default=None, help="alias for --output")
-    add_common(p)
-
-    return parser
-
-
-# config-file keys use the flag spellings; map them to parser destinations
-_KEY_ALIASES = {
-    "q": "potential",
-    "T": "queries",
-    "pe_T": "pe_queries",
-    "T_range": "t_range",
-}
-
-_FLAG_NAMES = {
-    "potential": "--q",
-    "queries": "--T",
-    "pe_queries": "--pe-T",
-    "t_range": "--T-range",
-}
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
-    out = {}
-    for key, value in data.items():
-        key = str(key).replace("-", "_")
-        out[_KEY_ALIASES.get(key, key)] = value
-    return out
-
-
-def _resolve(args, config, key, default=None, required=False, cast=None):
-    value = getattr(args, key, None)
-    if value is None or value is False:  # store_true flags default to False
-        value = config.get(key, default if value is None else value)
-    if value is None and required:
-        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
-        raise ValidationError(f"missing required parameter {flag}")
-    if cast is not None and value is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad value for {key}: {exc}") from None
+def _typed(value, *types):
+    """The value itself if it has one of `types`; a JSON boolean is not a number."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise TypeError(value)
     return value
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad integer list {text!r}: {exc}") from None
+def _text(value) -> str:
+    """text"""
+    return _typed(value, str)
 
 
-# --------------------------------------------------------------------------
-# Subcommand handlers
-# --------------------------------------------------------------------------
+def _integer(value) -> int:
+    """an integer"""
+    return int(_typed(value, int, str))
 
-def _cmd_discretize(args, config) -> RunReport:
+
+def _at_least(low: int) -> Callable:
+    def parse(value) -> int:
+        if (number := _integer(value)) < low:
+            raise ValueError(number)
+        return number
+    parse.__doc__ = f"an integer >= {low}"
+    return parse
+
+
+def _finite(value) -> float:
+    """a finite number"""
+    number = float(_typed(value, int, float, str))
+    if not math.isfinite(number):
+        raise ValueError(number)
+    return number
+
+
+def _auto_or_finite(value):
+    """'auto' or a finite number"""
+    return value if value == "auto" else _finite(value)
+
+
+def _int_list(value) -> list[int]:
+    """a comma-separated list of integers with no empty items"""
+    return [_integer(item) for item in _text(value).split(",")]
+
+
+def _int_range(value) -> tuple[int, int]:
+    """an integer range A:B with 1 <= A <= B"""
+    lo, hi = (_integer(item) for item in _text(value).split(":"))
+    if not 1 <= lo <= hi:
+        raise ValueError(value)
+    return lo, hi
+
+
+def _mode(value) -> str:
+    """exact, or perturbed:OVERLAP with a finite OVERLAP"""
+    kind, colon, overlap = _text(value).partition(":")
+    if kind == MODE_PERTURBED and colon:
+        _finite(overlap)
+    elif value not in ("", "exact", MODE_EXACT):
+        raise ValueError(value)
+    return value
+
+
+def _switch(value) -> bool:
+    """true or false"""
+    return _typed(value, bool)
+
+
+# Subcommand handlers: each reads the namespace resolved from its parameter table
+
+def _cmd_discretize(args) -> RunReport:
     timer = PhaseTimer()
-    potential_text = _resolve(args, config, "potential", required=True, cast=str)
-    potential = parse_potential(potential_text)
-    n_list_text = _resolve(args, config, "n_list")
+    potential = parse_potential(args.q)
     timer.lap("setup")
-    if n_list_text:
+    if args.n_list is not None:
         if potential.kind != "constant":
             raise ValidationError("the error study is defined for constant potentials")
-        n_list = _parse_int_list(n_list_text)
-        rows = discretization_error_study(potential.value, n_list)
+        rows = discretization_error_study(potential.value, args.n_list)
         timer.lap("compute")
         header = ["n", "lambda_continuum", "lambda_discrete", "error", "scaled_error"]
         table = Table(header, [[getattr(r, name) for r in rows] for name in header])
         return RunReport(
             command="discretize",
-            config={"q": potential_text, "n_list": n_list},
+            config={"q": args.q, "n_list": args.n_list},
             results={"rows": table},
             csv=table,
             timings=timer.timings,
         )
-    n = _resolve(args, config, "n", required=True, cast=int)
-    system = build_matrix(potential, n)
+    if args.n is None:
+        raise ValidationError("missing required parameter --n")
+    system = build_matrix(potential, args.n)
     timer.lap("compute")
     return RunReport(
         command="discretize",
-        config={"q": potential_text, "n": n},
-        results={"n": n, "diag": list(system.diag), "offdiag": system.offdiag},
+        config={"q": args.q, "n": args.n},
+        results={"n": args.n, "diag": list(system.diag), "offdiag": system.offdiag},
         csv=Table(["j", "diag", "offdiag"],
-                  [np.arange(1, n + 1), system.diag, np.full(n, system.offdiag)]),
+                  [np.arange(1, args.n + 1), system.diag, np.full(args.n, system.offdiag)]),
         timings=timer.timings,
     )
 
 
-def _cmd_eigensolve(args, config) -> RunReport:
+def _cmd_eigensolve(args) -> RunReport:
     timer = PhaseTimer()
-    potential_text = _resolve(args, config, "potential", required=True, cast=str)
-    potential = parse_potential(potential_text)
-    n = _resolve(args, config, "n", required=True, cast=int)
-    tol = _resolve(args, config, "tol", default=1e-12, cast=float)
-    want_vectors = bool(_resolve(args, config, "vectors", default=False))
-    system = build_matrix(potential, n)
+    system = build_matrix(parse_potential(args.q), args.n)
     timer.lap("setup")
-    eig = solve_eigensystem(system, tol=tol)
+    eig = solve_eigensystem(system, tol=args.tol)
     timer.lap("compute")
     results = {
-        "n": n,
-        "tol": tol,
+        "n": args.n,
+        "tol": args.tol,
         "eigenvalues": list(eig.eigenvalues),
         "orthonormality_deviation": eig.orthonormality_deviation,
         "relative_residual": eig.relative_residual,
     }
-    if want_vectors:
-        results["eigenvectors"] = [list(eig.eigenvectors[:, s]) for s in range(n)]
+    if args.vectors:
+        results["eigenvectors"] = [list(eig.eigenvectors[:, s]) for s in range(args.n)]
     return RunReport(
         command="eigensolve",
-        config={"q": potential_text, "n": n, "tol": tol},
+        config={"q": args.q, "n": args.n, "tol": args.tol},
         results=results,
-        csv=Table(["s", "eigenvalue"], [np.arange(1, n + 1), eig.eigenvalues]),
+        csv=Table(["s", "eigenvalue"], [np.arange(1, args.n + 1), eig.eigenvalues]),
         timings=timer.timings,
     )
 
 
-def _parse_mode(text: str) -> tuple[str, float]:
-    if text in (None, "", "exact", MODE_EXACT):
-        return MODE_EXACT, 1.0
-    if text == MODE_PERTURBED:
-        raise ValidationError("perturbed mode needs an overlap: use perturbed:OVERLAP")
-    if text.startswith("perturbed:"):
-        try:
-            return MODE_PERTURBED, float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ValidationError(f"bad overlap in mode {text!r}: {exc}") from None
-    raise ValidationError(f"unknown mode {text!r} (use exact or perturbed:OVERLAP)")
-
-
-def _cmd_phase_estimate(args, config) -> RunReport:
+def _cmd_phase_estimate(args) -> RunReport:
     timer = PhaseTimer()
-    potential_text = _resolve(args, config, "potential", required=True, cast=str)
-    potential = parse_potential(potential_text)
-    n = _resolve(args, config, "n", required=True, cast=int)
-    queries = _resolve(args, config, "queries", required=True, cast=int)
-    epsilon = _resolve(args, config, "epsilon", required=True, cast=float)
-    mode_text = _resolve(args, config, "mode", default="exact", cast=str)
-    seed = _resolve(args, config, "seed", default=0, cast=int)
-    samples = _resolve(args, config, "samples", default=0, cast=int)
-    mode, overlap = _parse_mode(mode_text)
-    cfg = PEConfig(queries=queries, grid_size=n, potential=potential,
-                   epsilon=epsilon, mode=mode, overlap=overlap)
+    potential = parse_potential(args.q)
+    _, perturbed, overlap = args.mode.partition(":")
+    cfg = PEConfig(queries=args.T, grid_size=args.n, potential=potential, epsilon=args.epsilon,
+                   mode=MODE_PERTURBED if perturbed else MODE_EXACT, overlap=float(overlap or 1))
     timer.lap("setup")
     result = run_phase_estimation(cfg)
     probs = result.distribution.probabilities
@@ -260,89 +185,68 @@ def _cmd_phase_estimate(args, config) -> RunReport:
     results = {
         "lambda_true": result.lambda_true,
         "phase": result.phase,
-        "epsilon": epsilon,
+        "epsilon": args.epsilon,
         "success_probability": result.success_probability,
         "outcomes": outcomes,
     }
     csv = outcomes
-    if samples > 0:
-        drawn = sample_outcomes(result.distribution, samples, seed)
+    if args.samples > 0:
+        drawn = sample_outcomes(result.distribution, args.samples, args.seed)
         results["samples"] = drawn
         csv = Table(outcomes.header + ["sample_count"],
                     outcomes.columns + [np.bincount(drawn, minlength=probs.size)])
     timer.lap("compute")
     return RunReport(
         command="phase-estimate",
-        config={"q": potential_text, "n": n, "T": queries, "epsilon": epsilon,
-                "mode": mode_text, "seed": seed, "samples": samples},
+        config={"q": args.q, "n": args.n, "T": args.T, "epsilon": args.epsilon,
+                "mode": args.mode, "seed": args.seed, "samples": args.samples},
         results=results,
         csv=csv,
         timings=timer.timings,
     )
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = (int(tok) for tok in str(text).split(":"))
-    except ValueError:
-        raise ValidationError(f"bad range {text!r}, expected A:B") from None
-    if lo < 1 or hi < lo:
-        raise ValidationError(f"bad range {text!r}: need 1 <= A <= B")
-    return lo, hi
-
-
-def _cmd_error_sweep(args, config) -> RunReport:
+def _cmd_error_sweep(args) -> RunReport:
     timer = PhaseTimer()
-    t_range = _resolve(args, config, "t_range", required=True, cast=str)
-    lo, hi = _parse_range(t_range)
-    n = _resolve(args, config, "n", default=16, cast=int)
-    grid = _resolve(args, config, "grid", default=64, cast=int)
-    threshold = _resolve(args, config, "threshold", default=0.75, cast=float)
-    q_values = default_q_grid(grid)
+    lo, hi = args.T_range
+    q_values = default_q_grid(args.grid)
     timer.lap("setup")
     rows = []
     for queries in range(lo, hi + 1):
-        report = worst_case_error_sweep(queries, n, q_values, threshold)
+        report = worst_case_error_sweep(queries, args.n, q_values, args.threshold)
         rows.append((queries, report.epsilon_achieved, report.success_probability_min))
         print(f"progress error-sweep T={queries} done", file=sys.stderr)
     timer.lap("compute")
     table = Table(["T", "epsilon_achieved", "min_success_prob"], list(zip(*rows)))
     return RunReport(
         command="error-sweep",
-        config={"T_range": [lo, hi], "n": n, "grid": grid, "threshold": threshold},
+        config={"T_range": [lo, hi], "n": args.n, "grid": args.grid,
+                "threshold": args.threshold},
         results={"rows": table},
         csv=table,
         timings=timer.timings,
     )
 
 
-def _cmd_freq_audit(args, config) -> RunReport:
+def _cmd_freq_audit(args) -> RunReport:
     timer = PhaseTimer()
-    powers_text = _resolve(args, config, "powers")
-    pe_queries = _resolve(args, config, "pe_queries", cast=int)
-    if (powers_text is None) == (pe_queries is None):
+    if (args.powers is None) == (args.pe_T is None):
         raise ValidationError("give exactly one of --powers or --pe-T")
-    if pe_queries is not None:
-        if pe_queries < 1:
-            raise ValidationError(f"--pe-T must be >= 1, got {pe_queries}")
-        powers = [1 << j for j in range(pe_queries)]
-    else:
-        powers = _parse_int_list(powers_text)
-    fs = frequency_sets(powers)
+    if args.dump_coefficients and args.pe_T is None:
+        raise ValidationError("--dump-coefficients needs --pe-T (a concrete schedule)")
+    if args.dump_coefficients and args.n is None:
+        raise ValidationError("missing required parameter --n")
+    fs = frequency_sets(args.powers if args.pe_T is None else
+                        [1 << j for j in range(args.pe_T)])
     timer.lap("compute")
 
-    dump_path = _resolve(args, config, "dump_coefficients")
-    if dump_path:
-        if pe_queries is None:
-            raise ValidationError("--dump-coefficients needs --pe-T (a concrete schedule)")
-        n = _resolve(args, config, "n", required=True, cast=int)
-        schedule = build_pe_schedule(pe_queries, n)
-        coeffs = symbolic_run(schedule, constant_eigensystem(0.0, n))
-        with open(dump_path, "w", newline="") as fh:
+    if args.dump_coefficients:
+        schedule = build_pe_schedule(args.pe_T, args.n)
+        coeffs = symbolic_run(schedule, constant_eigensystem(0.0, args.n))
+        with open(args.dump_coefficients, "w", newline="") as fh:
             fh.write(render_csv(_coefficient_table(coeffs)))
         timer.lap("dump")
 
-    t = len(fs.powers)
     return RunReport(
         command="freq-audit",
         config={"powers": list(fs.powers)},
@@ -352,7 +256,7 @@ def _cmd_freq_audit(args, config) -> RunReport:
             "l_set": list(fs.l_set),
             "m_cardinality": len(fs.m_set),
             "l_cardinality": len(fs.l_set),
-            "l_cardinality_bound": 3 ** t,
+            "l_cardinality_bound": 3 ** len(fs.powers),
             "sharp": fs.sharp,
         },
         csv=Table(["set", "index", "value"],
@@ -374,26 +278,16 @@ def _coefficient_table(coeffs) -> Table:
                  [k[order], s[order], m[order], values.real, values.imag])
 
 
-def _cmd_lowerbound_audit(args, config) -> RunReport:
+def _cmd_lowerbound_audit(args) -> RunReport:
     timer = PhaseTimer()
-    queries = _resolve(args, config, "queries", required=True, cast=int)
-    n = _resolve(args, config, "n", required=True, cast=int)
-    eps_text = _resolve(args, config, "epsilon", default="auto", cast=str)
-    lambda_map = _resolve(args, config, "lambda_map", default=LAMBDA_MAP_DISCRETE, cast=str)
-    if eps_text == "auto":
-        epsilon = matched_epsilon(queries)
-    else:
-        try:
-            epsilon = float(eps_text)
-        except ValueError:
-            raise ValidationError(f"bad epsilon {eps_text!r}: use 'auto' or a number") from None
-    schedule = build_pe_schedule(queries, n)
+    epsilon = matched_epsilon(args.T) if args.epsilon == "auto" else args.epsilon
+    schedule = build_pe_schedule(args.T, args.n)
     timer.lap("setup")
     audit = lower_bound_audit(
         schedule,
-        lambda q: constant_eigensystem(q, n),
+        lambda q: constant_eigensystem(q, args.n),
         epsilon,
-        lambda_map=lambda_map,
+        lambda_map=args.lambda_map,
     )
     timer.lap("compute")
     results = {
@@ -416,55 +310,158 @@ def _cmd_lowerbound_audit(args, config) -> RunReport:
         "dft_deviation": audit.dft_deviation,
         "dft": audit.dft_values,
     }
-    report = RunReport(
+    return RunReport(
         command="lowerbound-audit",
-        config={"T": queries, "n": n, "epsilon": epsilon, "lambda_map": lambda_map},
+        config={"T": args.T, "n": args.n, "epsilon": epsilon, "lambda_map": args.lambda_map},
         results=results,
         timings=timer.timings,
+        exit_code=EXIT_OK if audit.premise_ok else EXIT_PREMISE,
     )
-    report.exit_code = EXIT_OK if audit.premise_ok else EXIT_PREMISE
-    return report
 
 
-_HANDLERS = {
-    "discretize": _cmd_discretize,
-    "eigensolve": _cmd_eigensolve,
-    "phase-estimate": _cmd_phase_estimate,
-    "error-sweep": _cmd_error_sweep,
-    "freq-audit": _cmd_freq_audit,
-    "lowerbound-audit": _cmd_lowerbound_audit,
+class Param(NamedTuple):
+    """One parameter row; `key` (the flag less its dashes) is the config key and attribute."""
+
+    flag: str
+    parse: Callable = _text
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    help: str | None = None
+    metavar: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+@dataclass
+class Command:
+    """A subcommand: handler, help line, payload formats (default first), own parameters."""
+
+    handler: Callable
+    help: str
+    formats: tuple
+    params: tuple
+
+    def __post_init__(self):  # every subcommand ends with --config, --output and --format
+        self.params += (Param("--config", help="JSON file with flag defaults (flags override)"),
+                        Param("--output", help="write the payload to this path instead of stdout"),
+                        Param("--format", default=self.formats[0], metavar="{json,csv}"))
+
+
+_Q = Param("--q", required=True, metavar="POTENTIAL")
+_T = Param("--T", _integer, required=True, metavar="QUERIES")
+_N = Param("--n", _integer, required=True)
+
+_COMMANDS = {
+    "discretize": Command(
+        _cmd_discretize, "build the finite-difference matrix or an error study", ("json", "csv"),
+        (_Q, Param("--n", _integer),
+         Param("--n-list", _int_list, help="comma-separated grid sizes for the error study"))),
+    "eigensolve": Command(
+        _cmd_eigensolve, "solve the full eigensystem", ("json", "csv"),
+        (_Q, _N, Param("--tol", _finite, 1e-12,
+                       help="residual bound checked on the result, relative to (n+1)^2"),
+         Param("--vectors", _switch, False, help="include eigenvectors in JSON output"))),
+    "phase-estimate": Command(
+        _cmd_phase_estimate, "run phase estimation for one configuration", ("json", "csv"),
+        (_Q, _N, _T, Param("--epsilon", _finite, required=True),
+         Param("--mode", _mode, "exact", help="exact or perturbed:OVERLAP"),
+         Param("--seed", _integer, 0), Param("--samples", _at_least(0), 0))),
+    "error-sweep": Command(
+        _cmd_error_sweep, "worst-case error estimates over a range of T", ("csv", "json"),
+        (Param("--T-range", _int_range, required=True, help="inclusive range A:B"),
+         Param("--n", _integer, 16),
+         Param("--grid", _at_least(1), 64, help="number of potential grid points"),
+         Param("--threshold", _finite, 0.75))),
+    "freq-audit": Command(
+        _cmd_freq_audit, "frequency sets of a power sequence", ("json", "csv"),
+        (Param("--powers", _int_list, help="comma-separated positive integers"),
+         Param("--pe-T", _at_least(1), metavar="PE_QUERIES",
+               help="audit the T-query phase-estimation power sequence instead"),
+         Param("--n", _integer, help="target dimension for --dump-coefficients"),
+         Param("--dump-coefficients",
+               help="write the symbolic coefficient table (k,s,m,re,im) to this CSV path"))),
+    "lowerbound-audit": Command(
+        _cmd_lowerbound_audit, "verify the lower-bound inequality chain", ("json",),
+        (_T, _N,
+         Param("--epsilon", _auto_or_finite, "auto", help="'auto' for 4*pi*2^-T, or a number"),
+         Param("--lambda-map", default=LAMBDA_MAP_DISCRETE,
+               choices=(LAMBDA_MAP_DISCRETE, LAMBDA_MAP_CONTINUUM)),
+         Param("--report", help="alias for --output"))),
 }
 
-# the payload formats of each subcommand, default first
-_FORMATS = {
-    "discretize": ("json", "csv"),
-    "eigensolve": ("json", "csv"),
-    "phase-estimate": ("json", "csv"),
-    "error-sweep": ("csv", "json"),
-    "freq-audit": ("json", "csv"),
-    "lowerbound-audit": ("json",),
-}
+
+def _build_parser() -> _CliParser:
+    parser = _CliParser(prog="powerquery", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for row in command.params:  # argparse keeps the text; the row's parse reads it
+            shown = ({"action": "store_true"} if row.parse is _switch else
+                     {"choices": row.choices or None, "metavar": row.metavar})
+            p.add_argument(row.flag, default=None, help=row.help, **shown)
+    return parser
+
+
+def _load_config(path: str | None) -> dict:
+    """The config file's entries, keyed by flag spelling; a key no subcommand takes is refused."""
+    if not path:
+        return {}
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"config file {path} must hold a JSON object")
+    config = {key.replace("-", "_"): value for key, value in data.items()}
+    known = {row.key for command in _COMMANDS.values() for row in command.params}
+    if not config.keys() <= known:
+        raise ValidationError(f"unknown config key {min(config.keys() - known)!r} in {path}; "
+                              f"known keys: {', '.join(sorted(known))}")
+    return config
+
+
+def _read_parameters(command: Command, flags, config: dict) -> argparse.Namespace:
+    """Each parameter from its flag, else the config file, else its default; all checked."""
+    args = argparse.Namespace()
+    for row in command.params:
+        value = getattr(flags, row.key)
+        if value is None:
+            value = config.get(row.key)
+        if value is None and row.required:
+            raise ValidationError(f"missing required parameter {row.flag}")
+        try:
+            value = row.default if value is None else row.parse(value)
+        except (ArithmeticError, TypeError, ValueError):
+            raise ValidationError(
+                f"{row.flag} must be {row.parse.__doc__}, got {value!r}") from None
+        if row.choices and value not in row.choices:
+            raise ValidationError(f"{row.flag} must be one of {row.choices}, got {value!r}")
+        setattr(args, row.key, value)
+    return args
 
 
 def parse_and_dispatch(argv) -> RunReport:
-    """Validate, execute, and emit one subcommand; returns the run report."""
+    """Check the whole invocation, then execute and emit one subcommand; returns the report."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
+    flags = parser.parse_args(argv)
+    if not getattr(flags, "command", None):
         raise ValidationError(parser.format_usage().rstrip())
-    config = _load_config(getattr(args, "config", None))
-    formats = _FORMATS[args.command]
-    fmt = _resolve(args, config, "format", default=formats[0], cast=str)
-    if fmt not in formats:
-        raise ValidationError(f"command {args.command!r} has no CSV form" if fmt == "csv"
-                              else f"unknown output format {fmt!r}")
-    output = _resolve(args, config, "output", cast=str)
-    if args.command == "lowerbound-audit" and output is None:
-        output = _resolve(args, config, "report", cast=str)
+    command = _COMMANDS[flags.command]
+    args = _read_parameters(command, flags, _load_config(flags.config))
+    if args.format not in command.formats:
+        raise ValidationError(f"command {flags.command!r} has no CSV form" if args.format == "csv"
+                              else f"unknown output format {args.format!r}")
+    output = args.output if args.output is not None else getattr(args, "report", None)
     if output not in (None, "-") and not os.path.exists(os.path.dirname(output) or "."):
         raise FileNotFoundError(2, os.strerror(2), output)  # what open() would raise
-    report = _HANDLERS[args.command](args, config)
-    emit_report(report, fmt, output)
+    report = command.handler(args)
+    emit_report(report, args.format, output)
     return report
 
 

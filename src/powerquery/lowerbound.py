@@ -33,8 +33,8 @@ LAMBDA_MAP_CONTINUUM = "continuum"
 
 def grid_size_for_accuracy(epsilon: float) -> int:
     """Largest N with 1/(N+1) <= 2 epsilon < 1/N."""
-    if epsilon <= 0:
-        raise ValidationError(f"accuracy must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"accuracy must be positive and finite, got {epsilon}")
     if 2 * epsilon >= 1:
         raise ValidationError(
             f"accuracy {epsilon} is too coarse for the audit grid (needs 2*epsilon < 1)"

@@ -11,13 +11,14 @@ rendered row by row through one template built from the column dtypes.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __version__ = "0.1.0"
 
@@ -70,10 +71,12 @@ def render_json(value, indent: int = 0) -> str:
         return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
     if value is None:
         return "null"
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise NumericalError(f"{value} has no JSON form; a payload holds finite numbers only")
     if isinstance(value, (bool, np.bool_, int, np.integer, float, np.floating)):
         return format_number(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return f"[{format_number(value.real)}, {format_number(value.imag)}]"
+        return f"[{render_json(value.real)}, {render_json(value.imag)}]"
     return json.dumps(str(value))
 
 
@@ -81,6 +84,8 @@ def _render_table_json(table: Table, indent: int) -> str:
     """The table as a JSON list of row objects, in `render_json`'s layout."""
     pad, inner, field = ("  " * (indent + i) for i in range(3))
     cells = table.cells()
+    if any(c.dtype.kind == "f" and not np.isfinite(c).all() for c in table.columns):
+        raise NumericalError(f"table {table.header} holds NaN or infinity, which JSON lacks")
     fields = ",\n".join(f"{field}{json.dumps(str(name))}: ".replace("%", "%%") + cell
                          for name, cell in zip(table.header, cells))
     template = f"{inner}{{\n{fields}\n{inner}}}"
@@ -115,19 +120,16 @@ class RunReport:
     exit_code: int = 0
 
     def payload(self, fmt: str) -> str:
-        if fmt == "json":
-            doc = {
-                "command": self.command,
-                "config": self.config,
-                "results": self.results,
-                "version": self.version,
-            }
-            return render_json(doc) + "\n"
+        """The CSV table for fmt "csv", else the JSON document; the CLI checks fmt first."""
         if fmt == "csv":
-            if self.csv is None:
-                raise ValidationError(f"command {self.command!r} has no CSV form")
             return render_csv(self.csv)
-        raise ValidationError(f"unknown output format {fmt!r}")
+        doc = {
+            "command": self.command,
+            "config": self.config,
+            "results": self.results,
+            "version": self.version,
+        }
+        return render_json(doc) + "\n"
 
 
 class PhaseTimer:

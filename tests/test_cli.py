@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import powerquery
 from powerquery import cli, quantum
 from powerquery.cli import main, parse_and_dispatch
+from powerquery.errors import NumericalError
 from powerquery.reports import RunReport, Table, render_csv, render_json
 from test_acceptance import CLI_EXAMPLES
 
@@ -251,23 +253,65 @@ class TestCliPlumbing:
           "--epsilon", "1e-3", "--output", "/nonexistent-dir/out.json"], "[Errno 2]"),
         (["lowerbound-audit", "--T", "11", "--n", "1",
           "--report", "/nonexistent-dir/audit.json"], "[Errno 2]"),
+        (["lowerbound-audit", "--T", "4", "--n", "2", "--epsilon", "nan"],
+         "--epsilon must be 'auto' or a finite number, got 'nan'"),
+        (["phase-estimate", "--q", "const:0.5", "--n", "8", "--T", "4", "--epsilon", "nan"],
+         "--epsilon must be a finite number, got 'nan'"),
+        (["phase-estimate", "--q", "const:0.5", "--n", "8", "--T", "4", "--epsilon", "inf"],
+         "--epsilon must be a finite number, got 'inf'"),
+        (["eigensolve", "--q", "const:0", "--n", "3", "--tol", "nan"],
+         "--tol must be a finite number, got 'nan'"),
+        (["phase-estimate", "--q", "const:0.5", "--n", "8", "--T", "4", "--epsilon", "0.5",
+          "--samples", "-3"], "--samples must be an integer >= 0, got '-3'"),
+        (["error-sweep", "--T-range", "3:3", "--n", "4", "--grid", "0"],
+         "--grid must be an integer >= 1, got '0'"),
+        (["freq-audit", "--powers", "1,,2"],
+         "--powers must be a comma-separated list of integers with no empty items"),
     ])
     def test_format_and_output_refused_before_the_work(self, argv, message, capsys,
                                                        monkeypatch):
         def no_work(*_):
             raise AssertionError("the handler ran")
-        monkeypatch.setitem(cli._HANDLERS, argv[0], no_work)
+        monkeypatch.setattr(cli._COMMANDS[argv[0]], "handler", no_work)
         code, out, err = run_cli(capsys, *argv)
         assert code == (3 if "Errno" in message else 1) and out == ""
         assert message in err
+        assert len(err.splitlines()) == 1
 
     def test_config_format_refused_before_the_work(self, capsys, monkeypatch, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"q": "const:0", "n": 2, "format": "xml"}))
-        monkeypatch.setitem(cli._HANDLERS, "discretize", None)
+        monkeypatch.setattr(cli._COMMANDS["discretize"], "handler", None)
         code, out, err = run_cli(capsys, "discretize", "--config", str(cfg))
         assert code == 1 and out == ""
         assert "unknown output format 'xml'" in err
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"n": 3.7}, "--n must be an integer, got 3.7"),
+        ({"vectors": "false"}, "--vectors must be true or false, got 'false'"),
+        ({"potential": "const:0"}, "unknown config key 'potential'"),
+        ({"Tee": 30}, "unknown config key 'Tee'"),
+    ])
+    def test_config_values_typed_like_flags(self, entries, message, capsys, monkeypatch,
+                                            tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"q": "const:0", "n": 2, **entries}))
+        monkeypatch.setattr(cli._COMMANDS["eigensolve"], "handler", None)
+        code, out, err = run_cli(capsys, "eigensolve", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+        if "unknown" in message:
+            assert "known keys: T, T_range, config," in err
+
+    def test_config_keys_of_other_subcommands_allowed(self, capsys, tmp_path):
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({"q": "const:0", "n": 3, "T": 10, "pe-T": 4, "grid": 8,
+                                   "vectors": True}))
+        code, out, _ = run_cli(capsys, "eigensolve", "--config", str(cfg))
+        assert code == 0
+        _, expected, _ = run_cli(capsys, "eigensolve", "--q", "const:0", "--n", "3", "--vectors")
+        assert out == expected
 
     def test_payload_determinism_in_process(self):
         argv = ["freq-audit", "--powers", "1,3,9", "--format", "json"]
@@ -297,6 +341,14 @@ class TestRendering:
     def test_csv_floats(self):
         text = render_csv(Table(["a", "b"], [[1], [1.0 / 3.0]]))
         assert text == "a,b\n1,0.33333333333333331\n"
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, np.float64("nan"), complex(1.0, math.inf),
+        [0.5, math.nan], Table(["x"], [[0.25, math.inf]]),
+    ], ids=repr)
+    def test_non_finite_refused(self, value):
+        with pytest.raises(NumericalError, match="NaN or infinity|no JSON form"):
+            render_json({"results": {"x": value}})
 
 
 class TestNoFullWidthState:

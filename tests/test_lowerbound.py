@@ -54,6 +54,12 @@ class TestGridRule:
         with pytest.raises(ValidationError):
             grid_size_for_accuracy(0.5)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_refused(self, eps):
+        # library callers reach this without the CLI's parameter checks
+        with pytest.raises(ValidationError, match="positive and finite"):
+            grid_size_for_accuracy(eps)
+
 
 class TestProjection:
     def test_zero_maps_to_zero(self):

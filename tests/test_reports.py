@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerquery import ValidationError, build_pe_schedule, constant_eigensystem, symbolic_run
-from powerquery.cli import _FORMATS, _coefficient_table, main, parse_and_dispatch
+from powerquery import (NumericalError, ValidationError, build_pe_schedule, constant_eigensystem,
+                        symbolic_run)
+from powerquery.cli import _COMMANDS, _coefficient_table, main, parse_and_dispatch
 from powerquery.reports import Table, format_number, render_csv, render_json
 from test_acceptance import CLI_EXAMPLES
 
@@ -42,7 +43,7 @@ def generic_payload(report, fmt):
 
 
 def output_format(argv):
-    return argv[argv.index("--format") + 1] if "--format" in argv else _FORMATS[argv[0]][0]
+    return argv[argv.index("--format") + 1] if "--format" in argv else _COMMANDS[argv[0]].formats[0]
 
 
 JSON_FORMS = [
@@ -87,6 +88,12 @@ class TestTableMatchesGenericRenderer:
             header = [names[i] for i in rng.permutation(len(names))[:width]]
             table = Table(header, [self.random_column(rng, kind, rows) for kind in kinds])
             assert render_csv(table) == generic_csv(table)
+            if not all(np.isfinite(c).all() for c in table.columns if c.dtype.kind == "f"):
+                for value in (table, expand(table)):  # JSON has no NaN or infinity
+                    with pytest.raises(NumericalError):
+                        render_json(value)
+                table = Table(header, [np.nan_to_num(c) if c.dtype.kind == "f" else c
+                                       for c in table.columns])
             for indent in (0, 1, 3):
                 assert render_json(table, indent) == render_json(expand(table), indent)
             nested = {"a": 1, "rows": table, "z": [0.5]}
